@@ -1,16 +1,12 @@
-//! `par-scaling`: how do the three parallel hot paths scale with the worker
+//! `par-scaling`: how do the two parallel hot paths scale with the worker
 //! pool, and do they stay bit-identical to their sequential oracles?
 //!
-//! Three sections, one per `mpss-par` integration:
+//! Two sections, one per `mpss-par` integration:
 //!
 //! * **(a) parallel AVR(m)** — per-interval peel + McNaughton chunked over
 //!   the pool vs the sequential loop; segments must be bit-identical at
 //!   every thread count.
-//! * **(b) engine-portfolio racing** — every offline max-flow probe runs
-//!   Dinic vs push–relabel concurrently, keeping the first finisher;
-//!   phases/speeds/energy must match the solo-Dinic solve, and the win
-//!   split shows which engine actually serves the probes.
-//! * **(c) batched solves** — `mpss::batch::solve_many` sharding a
+//! * **(b) batched solves** — `mpss::batch::solve_many` sharding a
 //!   directory-sized batch of independent instances.
 //!
 //! Speedups are *per machine*: a single-core container runs everything at
@@ -27,10 +23,8 @@
 
 use mpss::batch::solve_many;
 use mpss_bench::{record_bench_snapshot, timed, write_experiment_report, Table};
-use mpss_core::energy::schedule_energy;
-use mpss_core::power::Polynomial;
 use mpss_obs::{Collector, RecordingCollector};
-use mpss_offline::{optimal_schedule_observed, optimal_schedule_with, OfflineOptions};
+use mpss_offline::OfflineOptions;
 use mpss_online::{avr_schedule, avr_schedule_parallel};
 use mpss_par::ThreadPool;
 use mpss_workloads::{Family, WorkloadSpec};
@@ -85,71 +79,7 @@ fn main() {
     }
     t_avr.print();
 
-    println!("\n(b) engine-portfolio racing: Dinic vs push–relabel per probe\n");
-    let mut t_race = Table::new(&[
-        "family",
-        "n",
-        "solo (ms)",
-        "raced (ms)",
-        "dinic wins",
-        "pr wins",
-        "phases equal",
-    ]);
-    let race_sizes: &[usize] = if smoke { &[20] } else { &[40, 80, 160] };
-    for family in [Family::Uniform, Family::Bursty] {
-        for &n in race_sizes {
-            let instance = WorkloadSpec {
-                family,
-                n,
-                m: 4,
-                horizon: 2 * n as u64,
-                seed: 13,
-            }
-            .generate();
-            let (solo, solo_ms) =
-                timed(|| optimal_schedule_with(&instance, &OfflineOptions::default()).unwrap());
-            let mut race_rec = RecordingCollector::new();
-            let race_opts = OfflineOptions {
-                race_engines: true,
-                ..Default::default()
-            };
-            let (raced, race_ms) =
-                timed(|| optimal_schedule_observed(&instance, &race_opts, &mut race_rec).unwrap());
-            assert_eq!(solo.phases.len(), raced.phases.len());
-            for (a, b) in solo.phases.iter().zip(&raced.phases) {
-                assert_eq!(a.speed.to_bits(), b.speed.to_bits(), "speed under racing");
-                assert_eq!(a.jobs, b.jobs, "job partition under racing");
-            }
-            let p = Polynomial::new(3.0);
-            let (e_solo, e_race) = (
-                schedule_energy(&solo.schedule, &p),
-                schedule_energy(&raced.schedule, &p),
-            );
-            assert!(
-                (e_solo - e_race).abs() <= 1e-9 * e_solo.max(1.0),
-                "energy diverged under racing: {e_solo} vs {e_race}"
-            );
-            let (dw, pw) = (
-                race_rec.counter("par.race.dinic_wins"),
-                race_rec.counter("par.race.pr_wins"),
-            );
-            assert_eq!(dw + pw, raced.flow_computations as u64);
-            rec.count("par.race.dinic_wins", dw);
-            rec.count("par.race.pr_wins", pw);
-            t_race.row(vec![
-                family.name().to_string(),
-                n.to_string(),
-                format!("{solo_ms:.2}"),
-                format!("{race_ms:.2}"),
-                dw.to_string(),
-                pw.to_string(),
-                "✓".into(),
-            ]);
-        }
-    }
-    t_race.print();
-
-    println!("\n(c) batched solves: independent instances sharded over the pool\n");
+    println!("\n(b) batched solves: independent instances sharded over the pool\n");
     let batch_size = if smoke { 4 } else { 16 };
     let batch_n = if smoke { 16 } else { 60 };
     let batch: Vec<_> = (0..batch_size)
@@ -196,7 +126,7 @@ fn main() {
     }
     t_batch.print();
     println!(
-        "\nall three parallel paths reproduced their sequential oracles exactly;\n\
+        "\nboth parallel paths reproduced their sequential oracles exactly;\n\
          speedups above are for this machine's {threads_available} hardware thread(s)."
     );
 
@@ -204,11 +134,7 @@ fn main() {
         write_experiment_report(
             Path::new(out),
             "par_scaling",
-            &[
-                ("avr_parallel", &t_avr),
-                ("engine_racing", &t_race),
-                ("batched_solves", &t_batch),
-            ],
+            &[("avr_parallel", &t_avr), ("batched_solves", &t_batch)],
             Some(&rec),
         )
         .expect("writing experiment report");
@@ -220,11 +146,7 @@ fn main() {
             bench,
             "par_scaling_smoke",
             started.elapsed().as_secs_f64() * 1e3,
-            &[
-                ("par.tasks", rec.counter("par.tasks")),
-                ("par.race.dinic_wins", rec.counter("par.race.dinic_wins")),
-                ("par.race.pr_wins", rec.counter("par.race.pr_wins")),
-            ],
+            &[("par.tasks", rec.counter("par.tasks"))],
             &[],
         )
         .expect("writing bench snapshot");

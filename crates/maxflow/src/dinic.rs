@@ -20,7 +20,6 @@ use crate::network::{FlowNetwork, NodeId};
 use crate::{EngineStats, MaxFlow};
 use mpss_numeric::FlowNum;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Dinic engine with reusable scratch buffers.
 ///
@@ -105,63 +104,22 @@ impl Dinic {
         self.level[u] = UNREACHED;
         None
     }
-
-    /// Shared driver behind [`MaxFlow::max_flow`] and
-    /// [`MaxFlow::max_flow_cancelable`]: the cancellation flag is polled at
-    /// each BFS phase and before each augmenting path, the two outer-loop
-    /// points where abandoning leaves nothing half-pushed on the recursion
-    /// stack.
-    fn run<T: FlowNum>(
-        &mut self,
-        net: &mut FlowNetwork<T>,
-        s: NodeId,
-        t: NodeId,
-        cancel: Option<&AtomicBool>,
-    ) -> Option<T> {
-        assert!(s != t, "source and sink must differ");
-        net.ensure_csr();
-        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-        let mut total = T::zero();
-        loop {
-            if cancelled() {
-                return None;
-            }
-            if !self.bfs(net, s, t) {
-                break;
-            }
-            self.it.clear();
-            self.it.extend_from_slice(&net.first_arc[..net.num_nodes()]);
-            loop {
-                if cancelled() {
-                    return None;
-                }
-                match self.dfs(net, s, t, None) {
-                    Some(got) => {
-                        self.stats.augmenting_paths += 1;
-                        total += got;
-                    }
-                    None => break,
-                }
-            }
-        }
-        Some(total)
-    }
 }
 
 impl<T: FlowNum> MaxFlow<T> for Dinic {
     fn max_flow(&mut self, net: &mut FlowNetwork<T>, s: NodeId, t: NodeId) -> T {
-        self.run(net, s, t, None)
-            .expect("uncancellable run cannot be cancelled")
-    }
-
-    fn max_flow_cancelable(
-        &mut self,
-        net: &mut FlowNetwork<T>,
-        s: NodeId,
-        t: NodeId,
-        cancel: &AtomicBool,
-    ) -> Option<T> {
-        self.run(net, s, t, Some(cancel))
+        assert!(s != t, "source and sink must differ");
+        net.ensure_csr();
+        let mut total = T::zero();
+        while self.bfs(net, s, t) {
+            self.it.clear();
+            self.it.extend_from_slice(&net.first_arc[..net.num_nodes()]);
+            while let Some(got) = self.dfs(net, s, t, None) {
+                self.stats.augmenting_paths += 1;
+                total += got;
+            }
+        }
+        total
     }
 
     fn name(&self) -> &'static str {
@@ -174,10 +132,6 @@ impl<T: FlowNum> MaxFlow<T> for Dinic {
 
     fn reset_stats(&mut self) {
         self.stats = EngineStats::default();
-    }
-
-    fn restore_stats(&mut self, stats: EngineStats) {
-        self.stats = stats;
     }
 }
 

@@ -59,7 +59,6 @@ pub use push_relabel::PushRelabel;
 pub use warm::{drain_node, push_path, residual_reachable_tol, set_capacity, WarmStartable};
 
 use mpss_numeric::FlowNum;
-use std::sync::atomic::AtomicBool;
 
 /// Work counters of a max-flow engine, accumulated across
 /// [`MaxFlow::max_flow`] calls until [`MaxFlow::reset_stats`].
@@ -116,31 +115,6 @@ pub trait MaxFlow<T: FlowNum> {
     /// assignment inside `net`.
     fn max_flow(&mut self, net: &mut FlowNetwork<T>, source: NodeId, sink: NodeId) -> T;
 
-    /// [`max_flow`](MaxFlow::max_flow) with a cooperative cancellation
-    /// flag, the hook engine-portfolio racing hangs the loser's abort on.
-    ///
-    /// The engine polls `cancel` (relaxed load) in its outer loop — once
-    /// per Dinic BFS phase / augmenting path, once per push–relabel
-    /// discharge — and returns `None` as soon as it observes the flag set.
-    /// On `None` the network holds a partially augmented (still
-    /// capacity-feasible, but not conservative or maximal) flow and MUST be
-    /// discarded by the caller; the engine's work counters retain the
-    /// partial work, so racing callers snapshot and
-    /// [`restore_stats`](MaxFlow::restore_stats) for losers.
-    ///
-    /// The default implementation ignores the flag (a legal, if
-    /// unresponsive, refinement: cancellation is best-effort).
-    fn max_flow_cancelable(
-        &mut self,
-        net: &mut FlowNetwork<T>,
-        source: NodeId,
-        sink: NodeId,
-        cancel: &AtomicBool,
-    ) -> Option<T> {
-        let _ = cancel;
-        Some(self.max_flow(net, source, sink))
-    }
-
     /// Name for logs and bench labels.
     fn name(&self) -> &'static str;
 
@@ -153,14 +127,6 @@ pub trait MaxFlow<T: FlowNum> {
 
     /// Zeroes the work counters.
     fn reset_stats(&mut self) {}
-
-    /// Overwrites the work counters with `stats` — the racing caller's
-    /// tool for making counter merging well-defined: snapshot before the
-    /// race, restore the snapshot on the losing engine so its partial,
-    /// cancelled work is dropped rather than summed into run totals.
-    fn restore_stats(&mut self, stats: EngineStats) {
-        let _ = stats;
-    }
 }
 
 /// Convenience: run Dinic's algorithm on `net`.

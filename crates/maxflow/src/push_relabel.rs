@@ -35,7 +35,6 @@ use crate::network::{FlowNetwork, NodeId};
 use crate::{EngineStats, MaxFlow};
 use mpss_numeric::FlowNum;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 const UNSET: u32 = u32::MAX;
 
@@ -150,19 +149,8 @@ impl PushRelabel {
         }
     }
 
-    /// Shared driver behind [`MaxFlow::max_flow`] and
-    /// [`MaxFlow::max_flow_cancelable`]: the cancellation flag is polled once
-    /// per highest-label selection (i.e. per discharge), and a cancelled run
-    /// bails out *before* the trapped-excess cancellation phase — the network
-    /// is left capacity-feasible but non-conservative, which is fine because
-    /// the racing caller discards the loser's network.
-    fn run<T: FlowNum>(
-        &mut self,
-        net: &mut FlowNetwork<T>,
-        s: NodeId,
-        t: NodeId,
-        cancel: Option<&AtomicBool>,
-    ) -> Option<T> {
+    /// The engine behind [`MaxFlow::max_flow`].
+    fn run<T: FlowNum>(&mut self, net: &mut FlowNetwork<T>, s: NodeId, t: NodeId) -> T {
         assert!(s != t, "source and sink must differ");
         net.ensure_csr();
         let n = net.num_nodes();
@@ -204,9 +192,6 @@ impl PushRelabel {
         // Highest-label selection.
         let mut hi = 2 * n;
         loop {
-            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                return None;
-            }
             while hi > 0 && self.buckets[hi].is_empty() {
                 hi -= 1;
             }
@@ -307,24 +292,13 @@ impl PushRelabel {
         // phase).
         cancel_trapped_excess(net, &mut excess, s, t);
 
-        Some(excess[t])
+        excess[t]
     }
 }
 
 impl<T: FlowNum> MaxFlow<T> for PushRelabel {
     fn max_flow(&mut self, net: &mut FlowNetwork<T>, s: NodeId, t: NodeId) -> T {
-        self.run(net, s, t, None)
-            .expect("uncancellable run cannot be cancelled")
-    }
-
-    fn max_flow_cancelable(
-        &mut self,
-        net: &mut FlowNetwork<T>,
-        s: NodeId,
-        t: NodeId,
-        cancel: &AtomicBool,
-    ) -> Option<T> {
-        self.run(net, s, t, Some(cancel))
+        self.run(net, s, t)
     }
 
     fn name(&self) -> &'static str {
@@ -337,10 +311,6 @@ impl<T: FlowNum> MaxFlow<T> for PushRelabel {
 
     fn reset_stats(&mut self) {
         self.stats = EngineStats::default();
-    }
-
-    fn restore_stats(&mut self, stats: EngineStats) {
-        self.stats = stats;
     }
 }
 

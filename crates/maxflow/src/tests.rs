@@ -143,59 +143,6 @@ fn push_relabel_stats_count_work_and_reset() {
 }
 
 #[test]
-fn cancelable_with_idle_flag_matches_plain_run() {
-    let flag = std::sync::atomic::AtomicBool::new(false);
-    let mut a: FlowNetwork<f64> = random_network(10, 0.3, 42);
-    let mut b = a.clone();
-    let plain = max_flow_dinic(&mut a, 0, 9);
-    let dinic = Dinic::new()
-        .max_flow_cancelable(&mut b, 0, 9, &flag)
-        .expect("flag never set");
-    assert_eq!(dinic, plain);
-    let mut c = a.clone();
-    c.reset_flows();
-    let pr = PushRelabel::new()
-        .max_flow_cancelable(&mut c, 0, 9, &flag)
-        .expect("flag never set");
-    assert!((pr - plain).abs() < 1e-9);
-    validate_flow(&c, 0, 9, 1e-9).expect("conservation with idle flag");
-}
-
-#[test]
-fn pre_set_flag_cancels_both_engines() {
-    let flag = std::sync::atomic::AtomicBool::new(true);
-    let mut net: FlowNetwork<f64> = random_network(10, 0.3, 42);
-    assert_eq!(
-        Dinic::new().max_flow_cancelable(&mut net.clone(), 0, 9, &flag),
-        None
-    );
-    assert_eq!(
-        PushRelabel::new().max_flow_cancelable(&mut net, 0, 9, &flag),
-        None
-    );
-}
-
-#[test]
-fn restore_stats_drops_partial_work() {
-    let mut net: FlowNetwork<f64> = random_network(10, 0.3, 42);
-    let mut engine = Dinic::new();
-    engine.max_flow(&mut net.clone(), 0, 9);
-    let snapshot = MaxFlow::<f64>::stats(&engine);
-    engine.max_flow(&mut net, 0, 9);
-    assert_ne!(MaxFlow::<f64>::stats(&engine), snapshot);
-    MaxFlow::<f64>::restore_stats(&mut engine, snapshot);
-    assert_eq!(MaxFlow::<f64>::stats(&engine), snapshot);
-
-    let mut pr = PushRelabel::new();
-    let mut prnet: FlowNetwork<f64> = random_network(10, 0.3, 43);
-    pr.max_flow(&mut prnet, 0, 9);
-    let done = MaxFlow::<f64>::stats(&pr);
-    MaxFlow::<f64>::restore_stats(&mut pr, EngineStats::default());
-    assert_eq!(MaxFlow::<f64>::stats(&pr), EngineStats::default());
-    assert!(done.pushes >= MaxFlow::<f64>::stats(&pr).pushes);
-}
-
-#[test]
 fn stats_accumulate_across_runs_until_reset() {
     let mut net: FlowNetwork<f64> = random_network(8, 0.4, 7);
     let mut engine = Dinic::new();

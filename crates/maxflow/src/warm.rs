@@ -30,7 +30,6 @@
 use crate::network::{EdgeId, FlowNetwork, NodeId};
 use crate::{Dinic, MaxFlow, PushRelabel};
 use mpss_numeric::FlowNum;
-use std::sync::atomic::AtomicBool;
 
 /// A [`MaxFlow`] engine that can continue from a non-zero feasible flow.
 pub trait WarmStartable<T: FlowNum>: MaxFlow<T> {
@@ -43,21 +42,6 @@ pub trait WarmStartable<T: FlowNum>: MaxFlow<T> {
     fn re_max_flow(&mut self, net: &mut FlowNetwork<T>, source: NodeId, sink: NodeId) -> T {
         let retained = net.net_out_flow(source);
         retained + self.max_flow(net, source, sink)
-    }
-
-    /// [`re_max_flow`](WarmStartable::re_max_flow) with a cooperative
-    /// cancellation flag, mirroring [`MaxFlow::max_flow_cancelable`]: `None`
-    /// means the run was cancelled and `net` must be discarded.
-    fn re_max_flow_cancelable(
-        &mut self,
-        net: &mut FlowNetwork<T>,
-        source: NodeId,
-        sink: NodeId,
-        cancel: &AtomicBool,
-    ) -> Option<T> {
-        let retained = net.net_out_flow(source);
-        self.max_flow_cancelable(net, source, sink, cancel)
-            .map(|augmented| retained + augmented)
     }
 }
 

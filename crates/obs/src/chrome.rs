@@ -6,7 +6,7 @@
 //! span pairs, `"i"` instants, `"C"` counter samples, `"M"` metadata),
 //! `pid`/`tid` coordinates, and a timestamp in *microseconds*. Every trace
 //! track maps to one `tid` under `pid` 1, named via `thread_name` metadata
-//! events — so racing engines and pool workers render as separate rows on
+//! events — so pool workers and batch shards render as separate rows on
 //! the shared time axis.
 
 use crate::json::{Json, ParseError};
@@ -262,7 +262,7 @@ mod tests {
         t.count("offline.phases", 2);
         let mut w = t.fork("worker-0");
         w.span_start("probe");
-        w.instant("race.bail");
+        w.instant("offline.job_removed");
         w.span_end("probe");
         t.adopt(w);
         t.observe("flow", 0.5);

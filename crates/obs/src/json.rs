@@ -58,13 +58,15 @@ impl Json {
 
     /// Parses a JSON document. Numbers that are plain non-negative integers
     /// fitting `u64` parse as [`Json::UInt`] (so counters written as `UInt`
-    /// round-trip); everything else numeric parses as [`Json::Num`]. Errors
-    /// carry the byte offset of the offending input.
+    /// round-trip); everything else numeric parses as [`Json::Num`]. Arrays
+    /// and objects may nest at most 128 deep. Errors carry the byte offset
+    /// of the offending input.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -169,11 +171,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Each level is one
+/// recursive call, so without a cap one hostile line overflows the stack
+/// and aborts the process; no document the workspace writes comes near it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     /// The input; `pos` only ever stops on a char boundary of it.
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects enclosing `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -227,11 +236,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(&b) => Err(self.error(&format!("unexpected byte 0x{b:02x}"))),
         }
+    }
+
+    /// Runs `parse` on an array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -563,5 +587,21 @@ mod tests {
         let err = Json::parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn parse_limits_nesting_depth() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err().offset,
+            MAX_DEPTH
+        );
+        // Objects count too, and a hostile depth is an error, not a stack
+        // overflow.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        let hostile = "[".repeat(200_000);
+        assert_eq!(Json::parse(&hostile).unwrap_err().offset, MAX_DEPTH);
     }
 }

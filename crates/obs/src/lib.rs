@@ -131,11 +131,11 @@ impl Collector for NoopCollector {}
 ///
 /// `Collector` is deliberately `&mut self` state — workers cannot share it.
 /// Instead the orchestrating thread [`fork`](TrackedCollector::fork)s one
-/// track handle per worker (per race contender, per batch shard), moves each
+/// track handle per worker (per pool worker, per batch shard), moves each
 /// handle into its worker, and [`adopt`](TrackedCollector::adopt)s them back
 /// after the join **in submission order**, which makes the merged counters
 /// and histograms deterministic whatever order the workers finished in.
-/// Track handles are full collectors, so nested fan-out (a race inside a
+/// Track handles are full collectors, so nested fan-out (a pool inside a
 /// batch shard) forks again from the handle — hence `Track:
 /// TrackedCollector`.
 ///

@@ -620,9 +620,8 @@ impl MetricsHub {
 ///   durations, observed at `span_end`.
 ///
 /// The `track` label is the [`TrackedCollector`] lane: `main` at the root,
-/// the fork name (`worker-3`, `race.dinic`, …) inside parallel sections —
-/// bounded cardinality, since lane names come from the pool and the race
-/// harness, never from data.
+/// the fork name (`worker-3`, …) inside parallel sections — bounded
+/// cardinality, since lane names come from the pool, never from data.
 pub struct MetricsCollector {
     hub: MetricsHub,
     track: String,

@@ -122,8 +122,6 @@ pub const COUNTERS: &[(&str, &str)] = &[
         "repair-loop iterations across all phases",
     ),
     ("par.pool.threads", "worker threads the pool fanned out to"),
-    ("par.race.dinic_wins", "engine races won by Dinic"),
-    ("par.race.pr_wins", "engine races won by push-relabel"),
     ("par.tasks", "tasks submitted to the worker pool"),
     (
         "par.worker.items",
@@ -173,10 +171,6 @@ pub const SPANS: &[(&str, &str)] = &[
     ("oa.replan", "one OA arrival replan, end to end"),
     ("offline.optimal_schedule", "the whole offline solve"),
     ("offline.phase", "one phase: repair loop + extraction"),
-    (
-        "race.probe",
-        "one engine's attempt at a raced max-flow probe",
-    ),
 ];
 
 /// Every instant-event name, sorted. Aggregating collectors fold instants
@@ -187,11 +181,6 @@ pub const INSTANTS: &[(&str, &str)] = &[
         "offline.job_removed",
         "the repair loop fixed a job at peak speed",
     ),
-    (
-        "race.bail",
-        "a racing engine observed the cancel flag and bailed",
-    ),
-    ("race.cancelled", "the losing engine's result was discarded"),
 ];
 
 /// Every *explicitly registered* live-metric family name, sorted. These are
@@ -392,7 +381,7 @@ mod tests {
     #[test]
     fn lookups_cover_derived_and_folded_names() {
         assert!(known_counter("offline.phases"));
-        assert!(known_counter("race.bail")); // instant folded to counter
+        assert!(known_counter("offline.job_removed")); // instant folded to counter
         assert!(!known_counter("offline.phasez"));
         assert!(known_histogram("driver.online_energy"));
         assert!(known_histogram("span.offline.phase.ms")); // derived

@@ -4,9 +4,9 @@
 //! (span trees, counter totals, histograms), [`TraceCollector`] *streams*:
 //! every span begin/end, instant, and counter sample is appended to an
 //! ordered event list with a monotonic timestamp and a track id. Parallel
-//! workers (pool workers, race contenders, batch shards) each record onto a
-//! forked track and the tracks merge deterministically at join — which is
-//! what makes the timeline renderable per-thread in Perfetto (see
+//! workers (pool workers, batch shards) each record onto a forked track and
+//! the tracks merge deterministically at join — which is what makes the
+//! timeline renderable per-thread in Perfetto (see
 //! [`chrome`](crate::chrome) for the export).
 //!
 //! Timestamps come from one shared epoch: [`TraceCollector::fork`] copies
@@ -188,16 +188,16 @@ mod tests {
     fn nested_forks_remap_transitively() {
         let mut root = TraceCollector::new("main");
         let mut shard = root.fork("shard-0");
-        let mut contender = shard.fork("race.dinic");
-        contender.instant("race.bail");
+        let mut worker = shard.fork("worker-0");
+        worker.instant("worker-event");
         shard.instant("shard-event");
-        shard.adopt(contender);
+        shard.adopt(worker);
         root.adopt(shard);
-        assert_eq!(root.track_names(), ["main", "shard-0", "race.dinic"]);
+        assert_eq!(root.track_names(), ["main", "shard-0", "worker-0"]);
         let by_track: Vec<(u32, TraceEventKind)> =
             root.events().iter().map(|e| (e.track, e.kind)).collect();
         assert!(by_track.contains(&(1, TraceEventKind::Instant("shard-event"))));
-        assert!(by_track.contains(&(2, TraceEventKind::Instant("race.bail"))));
+        assert!(by_track.contains(&(2, TraceEventKind::Instant("worker-event"))));
     }
 
     #[test]

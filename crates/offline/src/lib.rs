@@ -69,9 +69,8 @@ pub mod yds;
 
 pub use incremental::{IncrementalPlanner, IncrementalStats, PreparedInstance};
 pub use optimal::{
-    optimal_schedule, optimal_schedule_observed, optimal_schedule_prepared,
-    optimal_schedule_seeded, optimal_schedule_with, FlowEngine, OfflineOptions, OptimalResult,
-    PhaseInfo, SeedPlan,
+    optimal_schedule, optimal_schedule_observed, optimal_schedule_prepared, optimal_schedule_with,
+    FlowEngine, OfflineOptions, OptimalResult, PhaseInfo, SeedPlan,
 };
 pub use yds::yds_schedule;
 

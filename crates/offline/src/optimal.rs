@@ -28,12 +28,9 @@
 use crate::flow_model::FlowModel;
 use crate::incremental::{scratch_partition_ops, PreparedInstance};
 use mpss_core::{Instance, Intervals, JobId, ModelError, Schedule, Segment};
-use mpss_maxflow::{
-    residual_reachable_tol, Dinic, FlowNetwork, MaxFlow, NodeId, PushRelabel, WarmStartable,
-};
+use mpss_maxflow::{residual_reachable_tol, Dinic, MaxFlow, PushRelabel, WarmStartable};
 use mpss_numeric::FlowNum;
-use mpss_obs::{Collector, NoopCollector, TrackedCollector};
-use mpss_par::{race2, RaceWinner};
+use mpss_obs::{Collector, NoopCollector};
 
 /// Which max-flow engine the offline algorithm runs internally.
 ///
@@ -68,20 +65,6 @@ pub struct OfflineOptions {
     /// optimisation. Set to `false` to get the cold solver as a differential
     /// oracle (`--cold-flow` in the CLI).
     pub warm_start: bool,
-    /// Race Dinic and push–relabel on every max-flow probe (default
-    /// `false`), keeping whichever finishes first and cancelling the other
-    /// cooperatively. When set, [`OfflineOptions::engine`] is ignored.
-    ///
-    /// Racing is *sound*, not just fast-on-average: the value of a maximum
-    /// flow is unique, and the only decision the solver hangs on the flow —
-    /// Lemma 4's removal rule — reads the canonical min-cut certificate
-    /// ([`residual_reachable_tol`]), which is identical for every maximum
-    /// flow. So phases, speeds and energy are bit-identical whichever engine
-    /// wins; only the segment-level packing within an accepted interval may
-    /// differ (it is free to, up to the chosen maximum flow). Each race
-    /// clones the probe network once; the loser's network and partial work
-    /// counters are discarded (see [`MaxFlow::restore_stats`]).
-    pub race_engines: bool,
 }
 
 impl Default for OfflineOptions {
@@ -91,7 +74,6 @@ impl Default for OfflineOptions {
             record_trace: false,
             engine: FlowEngine::Dinic,
             warm_start: true,
-            race_engines: false,
         }
     }
 }
@@ -224,25 +206,19 @@ pub fn optimal_schedule_with<T: FlowNum>(
 ///   target `F_G`, one observation per round — 1.0 means the conjectured
 ///   speed was accepted) and `offline.jobs_removed_per_phase`.
 ///
-/// When `opts.race_engines` is on, the two contenders additionally record
-/// onto forked tracks named `race.dinic` / `race.pr` (span `race.probe` per
-/// attempt, instant `race.bail` on a cooperative cancel, instant
-/// `race.cancelled` on the discarded loser), adopted back into `obs` at the
-/// end of the solve — which is why the collector bound is
-/// [`TrackedCollector`] rather than plain [`Collector`].
-///
 /// Passing [`NoopCollector`] makes this identical to
 /// [`optimal_schedule_with`]: every instrumentation point inlines to nothing.
-pub fn optimal_schedule_observed<T: FlowNum, C: TrackedCollector>(
+pub fn optimal_schedule_observed<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     opts: &OfflineOptions,
     obs: &mut C,
 ) -> Result<OptimalResult<T>, ModelError> {
-    optimal_schedule_seeded(instance, opts, None, obs)
+    optimal_schedule_prepared(instance, opts, None, None, obs)
 }
 
 /// [`optimal_schedule_observed`] with an optional [`SeedPlan`] from a
-/// previous, related solve.
+/// previous, related solve and an optional [`PreparedInstance`] maintained
+/// incrementally across replans (see [`crate::incremental`]).
 ///
 /// When `opts.warm_start` is on, each phase's first network is primed from
 /// the seed's clipped spans (then greedily topped up) before the engine runs,
@@ -254,17 +230,6 @@ pub fn optimal_schedule_observed<T: FlowNum, C: TrackedCollector>(
 /// events — job removals plus retarget cancellations), and
 /// `offline.cold_rounds_avoided` (repair rounds served by a retained network
 /// instead of a cold rebuild).
-pub fn optimal_schedule_seeded<T: FlowNum, C: TrackedCollector>(
-    instance: &Instance<T>,
-    opts: &OfflineOptions,
-    seed: Option<&SeedPlan<T>>,
-    obs: &mut C,
-) -> Result<OptimalResult<T>, ModelError> {
-    optimal_schedule_prepared(instance, opts, seed, None, obs)
-}
-
-/// [`optimal_schedule_seeded`] consuming a [`PreparedInstance`] maintained
-/// incrementally across replans (see [`crate::incremental`]).
 ///
 /// With `prepared = None` this *is* the legacy scratch pipeline — the
 /// partition is re-sorted and every (job, interval) activity pair probed —
@@ -279,7 +244,7 @@ pub fn optimal_schedule_seeded<T: FlowNum, C: TrackedCollector>(
 /// and therefore bit-identical results; they differ only in
 /// [`OptimalResult::work_ops`] and in the
 /// `offline.incremental.reused_intervals` counter the prepared path emits.
-pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
+pub fn optimal_schedule_prepared<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     opts: &OfflineOptions,
     seed: Option<&SeedPlan<T>>,
@@ -287,11 +252,6 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
     obs: &mut C,
 ) -> Result<OptimalResult<T>, ModelError> {
     obs.span_start("offline.optimal_schedule");
-    // Each race contender records onto its own track for the whole solve
-    // (one fork per solve, not per probe); adopted at every exit point.
-    let mut race_tracks = opts
-        .race_engines
-        .then(|| (obs.fork("race.dinic"), obs.fork("race.pr")));
     let (intervals, mut work_ops) = match prepared {
         Some(p) => {
             debug_assert_eq!(
@@ -323,6 +283,13 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
     let mut flow_computations = 0usize;
     let mut dinic = Dinic::new();
     let mut push_relabel = PushRelabel::new();
+    // Every probe runs on the one engine the options name: the removal rule
+    // reads only the flow value and the canonical min cut, which every
+    // maximum flow shares.
+    let engine: &mut dyn WarmStartable<T> = match opts.engine {
+        FlowEngine::Dinic => &mut dinic,
+        FlowEngine::PushRelabel => &mut push_relabel,
+    };
 
     while !remaining.is_empty() {
         let phase_index = phases.len() + 1;
@@ -384,7 +351,6 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
             }
             if !p_total.is_strictly_positive() {
                 obs.span_end("offline.phase");
-                adopt_race_tracks(obs, &mut race_tracks);
                 flush_engine_stats::<T, C>(obs, &dinic, &push_relabel);
                 obs.span_end("offline.optimal_schedule");
                 return Err(ModelError::NoReservableTime);
@@ -404,27 +370,7 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
                     obs.count("maxflow.warm.reused_flow", 1);
                 }
                 obs.count("offline.cold_rounds_avoided", 1);
-                flow = if opts.race_engines {
-                    race_flow(
-                        &mut dinic,
-                        &mut push_relabel,
-                        &mut prev.net,
-                        prev.source,
-                        prev.sink,
-                        true,
-                        race_tracks.as_mut().expect("racing forks tracks"),
-                        obs,
-                    )
-                } else {
-                    match opts.engine {
-                        FlowEngine::Dinic => {
-                            dinic.re_max_flow(&mut prev.net, prev.source, prev.sink)
-                        }
-                        FlowEngine::PushRelabel => {
-                            push_relabel.re_max_flow(&mut prev.net, prev.source, prev.sink)
-                        }
-                    }
-                };
+                flow = engine.re_max_flow(&mut prev.net, prev.source, prev.sink);
                 fm = prev;
             } else {
                 if let Some(p) = prepared {
@@ -458,45 +404,9 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
                     if seeded.is_strictly_positive() {
                         obs.count("maxflow.warm.reused_flow", 1);
                     }
-                    flow = if opts.race_engines {
-                        race_flow(
-                            &mut dinic,
-                            &mut push_relabel,
-                            &mut fm.net,
-                            fm.source,
-                            fm.sink,
-                            true,
-                            race_tracks.as_mut().expect("racing forks tracks"),
-                            obs,
-                        )
-                    } else {
-                        match opts.engine {
-                            FlowEngine::Dinic => dinic.re_max_flow(&mut fm.net, fm.source, fm.sink),
-                            FlowEngine::PushRelabel => {
-                                push_relabel.re_max_flow(&mut fm.net, fm.source, fm.sink)
-                            }
-                        }
-                    };
+                    flow = engine.re_max_flow(&mut fm.net, fm.source, fm.sink);
                 } else {
-                    flow = if opts.race_engines {
-                        race_flow(
-                            &mut dinic,
-                            &mut push_relabel,
-                            &mut fm.net,
-                            fm.source,
-                            fm.sink,
-                            false,
-                            race_tracks.as_mut().expect("racing forks tracks"),
-                            obs,
-                        )
-                    } else {
-                        match opts.engine {
-                            FlowEngine::Dinic => dinic.max_flow(&mut fm.net, fm.source, fm.sink),
-                            FlowEngine::PushRelabel => {
-                                push_relabel.max_flow(&mut fm.net, fm.source, fm.sink)
-                            }
-                        }
-                    };
+                    flow = engine.max_flow(&mut fm.net, fm.source, fm.sink);
                 }
             }
             flow_computations += 1;
@@ -547,7 +457,6 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
             );
             if cur.is_empty() {
                 obs.span_end("offline.phase");
-                adopt_race_tracks(obs, &mut race_tracks);
                 flush_engine_stats::<T, C>(obs, &dinic, &push_relabel);
                 obs.span_end("offline.optimal_schedule");
                 return Err(ModelError::NoReservableTime);
@@ -618,7 +527,6 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
         obs.span_end("offline.phase");
     }
 
-    adopt_race_tracks(obs, &mut race_tracks);
     flush_engine_stats::<T, C>(obs, &dinic, &push_relabel);
     obs.span_end("offline.optimal_schedule");
     schedule.normalize();
@@ -630,96 +538,6 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: TrackedCollector>(
         work_ops,
         trace,
     })
-}
-
-/// One engine-portfolio race: Dinic and push–relabel run concurrently on
-/// clones of `net`, the first finisher's network replaces `net`, the loser
-/// is cancelled and fully discarded.
-///
-/// `warm` selects [`WarmStartable::re_max_flow_cancelable`] (the network
-/// already carries a feasible flow to keep) over the cold
-/// [`MaxFlow::max_flow_cancelable`]. The loser's work counters are rolled
-/// back to their pre-race snapshot so run totals count each probe exactly
-/// once, by the engine that actually served it; `par.race.dinic_wins` /
-/// `par.race.pr_wins` record who did.
-///
-/// Each contender records a `race.probe` span onto its own track in
-/// `tracks` (timestamped on the thread that ran it), plus a `race.bail`
-/// instant if it observed the cancel flag; after the join the loser's track
-/// gets a `race.cancelled` instant, so traces show exactly one discarded
-/// attempt per probe even when the loser finished without polling.
-#[allow(clippy::too_many_arguments)]
-fn race_flow<T: FlowNum, C: TrackedCollector>(
-    dinic: &mut Dinic,
-    push_relabel: &mut PushRelabel,
-    net: &mut FlowNetwork<T>,
-    source: NodeId,
-    sink: NodeId,
-    warm: bool,
-    tracks: &mut (C::Track, C::Track),
-    obs: &mut C,
-) -> T {
-    let dinic_snap = MaxFlow::<T>::stats(dinic);
-    let pr_snap = MaxFlow::<T>::stats(push_relabel);
-    // One clone per race: steal the probe network for one contender, clone
-    // it for the other, move the winner's copy back.
-    let base = std::mem::replace(net, FlowNetwork::new(2));
-    let mut dinic_net = base.clone();
-    let mut pr_net = base;
-    let dinic_ref = &mut *dinic;
-    let pr_ref = &mut *push_relabel;
-    let (dinic_track, pr_track) = (&mut tracks.0, &mut tracks.1);
-    let (winner, (flow, winning_net)) = race2(
-        move |cancel| {
-            dinic_track.span_start("race.probe");
-            let f = if warm {
-                dinic_ref.re_max_flow_cancelable(&mut dinic_net, source, sink, cancel)
-            } else {
-                dinic_ref.max_flow_cancelable(&mut dinic_net, source, sink, cancel)
-            };
-            if f.is_none() {
-                dinic_track.instant("race.bail");
-            }
-            dinic_track.span_end("race.probe");
-            Some((f?, dinic_net))
-        },
-        move |cancel| {
-            pr_track.span_start("race.probe");
-            let f = if warm {
-                pr_ref.re_max_flow_cancelable(&mut pr_net, source, sink, cancel)
-            } else {
-                pr_ref.max_flow_cancelable(&mut pr_net, source, sink, cancel)
-            };
-            if f.is_none() {
-                pr_track.instant("race.bail");
-            }
-            pr_track.span_end("race.probe");
-            Some((f?, pr_net))
-        },
-    );
-    *net = winning_net;
-    match winner {
-        RaceWinner::First => {
-            obs.count("par.race.dinic_wins", 1);
-            tracks.1.instant("race.cancelled");
-            MaxFlow::<T>::restore_stats(push_relabel, pr_snap);
-        }
-        RaceWinner::Second => {
-            obs.count("par.race.pr_wins", 1);
-            tracks.0.instant("race.cancelled");
-            MaxFlow::<T>::restore_stats(dinic, dinic_snap);
-        }
-    }
-    flow
-}
-
-/// Adopts the race contenders' tracks back into the run's collector (in
-/// fixed dinic-then-pr order, once per solve). No-op when not racing.
-fn adopt_race_tracks<C: TrackedCollector>(obs: &mut C, tracks: &mut Option<(C::Track, C::Track)>) {
-    if let Some((dinic_track, pr_track)) = tracks.take() {
-        obs.adopt(dinic_track);
-        obs.adopt(pr_track);
-    }
 }
 
 /// Copies the engines' accumulated work counters
@@ -1080,62 +898,6 @@ mod tests {
         assert_eq!(plain.flow_computations, observed.flow_computations);
         assert_eq!(plain.phases.len(), observed.phases.len());
         assert_eq!(plain.schedule.segments, observed.schedule.segments);
-    }
-
-    #[test]
-    fn racing_matches_single_engine_phases_and_energy() {
-        use mpss_obs::RecordingCollector;
-        let ins = Instance::new(
-            2,
-            vec![
-                job(0.0, 1.0, 4.0),
-                job(0.0, 1.0, 4.0),
-                job(0.0, 4.0, 2.0),
-                job(2.0, 6.0, 1.0),
-            ],
-        )
-        .unwrap();
-        for warm in [true, false] {
-            let solo = optimal_schedule_with(
-                &ins,
-                &OfflineOptions {
-                    warm_start: warm,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut rec = RecordingCollector::new();
-            let raced = optimal_schedule_observed(
-                &ins,
-                &OfflineOptions {
-                    warm_start: warm,
-                    race_engines: true,
-                    ..Default::default()
-                },
-                &mut rec,
-            )
-            .unwrap();
-            assert_feasible(&ins, &raced.schedule, 1e-9);
-            // Phases, speeds, and repair traces are race-invariant...
-            assert_eq!(solo.flow_computations, raced.flow_computations);
-            assert_eq!(solo.phases.len(), raced.phases.len());
-            for (a, b) in solo.phases.iter().zip(&raced.phases) {
-                assert_eq!(a.speed.to_bits(), b.speed.to_bits());
-                assert_eq!(a.jobs, b.jobs);
-                assert_eq!(a.procs, b.procs);
-                assert_eq!(a.rounds, b.rounds);
-            }
-            // ...and so is the energy (packing may differ, energy cannot).
-            let p = Polynomial::new(2.0);
-            let e_solo = schedule_energy(&solo.schedule, &p);
-            let e_race = schedule_energy(&raced.schedule, &p);
-            assert!((e_solo - e_race).abs() < 1e-12, "{e_solo} vs {e_race}");
-            // Every probe was served by exactly one winner.
-            assert_eq!(
-                rec.counter("par.race.dinic_wins") + rec.counter("par.race.pr_wins"),
-                raced.flow_computations as u64
-            );
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use mpss_core::{Instance, Job, JobId, ModelError, Schedule};
 use mpss_numeric::FlowNum;
-use mpss_obs::{NoopCollector, TrackedCollector};
-use mpss_offline::optimal::{optimal_schedule_seeded, OfflineOptions, OptimalResult, SeedPlan};
+use mpss_obs::{Collector, NoopCollector};
+use mpss_offline::optimal::{optimal_schedule_prepared, OfflineOptions, OptimalResult, SeedPlan};
 
 /// Tuning knobs for the OA(m) driver.
 #[derive(Clone, Debug)]
@@ -87,7 +87,7 @@ pub fn oa_schedule_with_options<T: FlowNum>(
     Ok(outcome)
 }
 
-/// [`oa_schedule`] with an instrumentation [`Collector`](mpss_obs::Collector).
+/// [`oa_schedule`] with an instrumentation [`Collector`].
 ///
 /// Every arrival that triggers a recomputation is wrapped in a span
 /// `oa.replan` — a recording collector therefore aggregates the per-arrival
@@ -98,7 +98,7 @@ pub fn oa_schedule_with_options<T: FlowNum>(
 /// `oa.reseed.replans` (replans that received a span seed) and
 /// `oa.reseed.jobs` (surviving jobs whose previous execution spans were
 /// transplanted).
-pub fn oa_schedule_observed<T: FlowNum, C: TrackedCollector>(
+pub fn oa_schedule_observed<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     obs: &mut C,
 ) -> Result<OaOutcome<T>, ModelError> {
@@ -107,7 +107,7 @@ pub fn oa_schedule_observed<T: FlowNum, C: TrackedCollector>(
 }
 
 /// [`oa_schedule_observed`] with explicit [`OaOptions`].
-pub fn oa_schedule_observed_with<T: FlowNum, C: TrackedCollector>(
+pub fn oa_schedule_observed_with<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     opts: &OaOptions,
     obs: &mut C,
@@ -125,7 +125,7 @@ pub fn oa_schedule_with_plans<T: FlowNum>(
     oa_run(instance, &OaOptions::default(), true, &mut NoopCollector)
 }
 
-fn oa_run<T: FlowNum, C: TrackedCollector>(
+fn oa_run<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     opts: &OaOptions,
     record: bool,
@@ -199,7 +199,7 @@ fn oa_run<T: FlowNum, C: TrackedCollector>(
         obs.instant("oa.arrival");
         obs.span_start("oa.replan");
         let solved = Instance::new(instance.m, sub_jobs).and_then(|sub| {
-            let plan = optimal_schedule_seeded(&sub, &opts.offline, seed.as_ref(), obs)?;
+            let plan = optimal_schedule_prepared(&sub, &opts.offline, seed.as_ref(), None, obs)?;
             Ok((sub, plan))
         });
         let (sub, plan) = match solved {

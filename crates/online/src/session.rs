@@ -12,7 +12,7 @@
 use crate::checkpoint::{CheckpointError, OaCheckpoint, PlanSnapshot, CHECKPOINT_VERSION};
 use crate::session_metrics::SessionMetrics;
 use mpss_core::{Instance, Job, JobId, ModelError, Schedule, Segment};
-use mpss_obs::{NoopCollector, TrackedCollector};
+use mpss_obs::{Collector, NoopCollector};
 use mpss_offline::optimal::{optimal_schedule_prepared, FlowEngine, OfflineOptions, SeedPlan};
 use mpss_offline::{IncrementalPlanner, IncrementalStats};
 
@@ -268,7 +268,7 @@ impl OaSession {
     /// slow-replan exemplar capture. The whole replan runs inside an
     /// `oa.replan` span; the collector changes nothing about the schedule
     /// (observed and unobserved arrivals are bit-identical).
-    pub fn arrive_observed<C: TrackedCollector>(
+    pub fn arrive_observed<C: Collector>(
         &mut self,
         deadline: f64,
         volume: f64,
@@ -399,14 +399,14 @@ impl OaSession {
         any.then_some(SeedPlan { spans })
     }
 
-    fn replan<C: TrackedCollector>(&mut self, obs: &mut C) -> Result<(), SessionError> {
+    fn replan<C: Collector>(&mut self, obs: &mut C) -> Result<(), SessionError> {
         obs.span_start("oa.replan");
         let out = self.replan_body(obs);
         obs.span_end("oa.replan");
         out
     }
 
-    fn replan_body<C: TrackedCollector>(&mut self, obs: &mut C) -> Result<(), SessionError> {
+    fn replan_body<C: Collector>(&mut self, obs: &mut C) -> Result<(), SessionError> {
         // Always timed: the flight recorder wants every replan's latency,
         // and one monotonic-clock read is noise next to a solve.
         let started = std::time::Instant::now();

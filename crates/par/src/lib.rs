@@ -1,24 +1,17 @@
 //! Deterministic scoped-thread parallelism for the `mpss` workspace.
 //!
-//! The workspace's hot paths are embarrassingly parallel at three different
-//! granularities — independent *instances* (the batched serving shape),
-//! independent *intervals* (AVR(m)'s per-interval peel + wrap-around), and
-//! independent *engines* racing on the same max-flow probe — yet none of
-//! them may change a single output byte when parallelised. This crate
-//! provides the two primitives all of them share, built on `std` only
-//! (the build environment is offline; like `mpss-numeric` and `mpss-obs`,
-//! it depends on nothing outside the standard library):
-//!
-//! * [`ThreadPool`] with [`ThreadPool::scope_map`] — fan a `Vec` of items
-//!   over scoped worker threads and join **in submission order**, whatever
-//!   order the workers finish in. With one thread (or one item) it degrades
-//!   to the plain sequential iterator, so `MPSS_THREADS=1` is a bit-exact
-//!   oracle for any parallel run.
-//! * [`race2`] — run two closures concurrently, return the first finisher's
-//!   output, and cancel the loser through an [`AtomicBool`] it is expected
-//!   to poll. The max-flow engines poll it in their outer loops, which is
-//!   what makes engine-portfolio racing (Dinic vs push–relabel on clones of
-//!   the same network) a pure latency optimisation.
+//! The workspace's hot paths are embarrassingly parallel at two different
+//! granularities — independent *instances* (the batched serving shape) and
+//! independent *intervals* (AVR(m)'s per-interval peel + wrap-around) —
+//! yet neither may change a single output byte when parallelised. This
+//! crate provides the primitive both share, built on `std` only (the build
+//! environment is offline; like `mpss-numeric` and `mpss-obs`, it depends
+//! on nothing outside the standard library):
+//! [`ThreadPool`] with [`ThreadPool::scope_map`] fans a `Vec` of items over
+//! scoped worker threads and joins **in submission order**, whatever order
+//! the workers finish in. With one thread (or one item) it degrades to the
+//! plain sequential iterator, so `MPSS_THREADS=1` is a bit-exact oracle for
+//! any parallel run.
 //!
 //! Thread-count policy lives here too: [`ThreadPool::from_env`] reads the
 //! `MPSS_THREADS` environment variable and falls back to
@@ -35,9 +28,5 @@
 //! ```
 
 mod pool;
-mod race;
 
 pub use pool::{chunk_ranges, ThreadPool};
-pub use race::{race2, RaceWinner};
-
-pub use std::sync::atomic::AtomicBool;

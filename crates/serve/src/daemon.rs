@@ -53,7 +53,7 @@ use mpss_online::{
 };
 use mpss_par::ThreadPool;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The checkpoint-file envelope's `format` marker.
@@ -66,6 +66,12 @@ pub const CHECKPOINT_FILE_VERSION: u64 = 1;
 /// daemon lifetime, so a persistently failing tenant cannot fill the disk.
 /// Operator `debug-dump` requests are never capped.
 pub const MAX_AUTO_BUNDLES: u64 = 32;
+
+/// Longest request line [`Daemon::serve_io`] reads, newline excluded. No
+/// request the protocol defines comes near it; a longer line is skipped to
+/// its newline and answered `bad-request`, so one client cannot make the
+/// daemon buffer without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon construction knobs.
 #[derive(Clone, Debug)]
@@ -463,19 +469,35 @@ impl Daemon {
 
     /// Serves newline-delimited requests from `input`, writing one response
     /// line per request to `output`, until EOF or a `shutdown` request.
+    /// Blank lines are skipped; a line that is not UTF-8 or is longer than
+    /// 1 MiB is answered `bad-request`, and serving goes on.
     /// Returns `true` if a `shutdown` was served (the caller should stop
     /// re-entering), `false` on EOF.
     pub fn serve_io(
         &mut self,
-        input: impl BufRead,
+        mut input: impl BufRead,
         mut output: impl Write,
     ) -> std::io::Result<bool> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let cap = MAX_LINE_BYTES as u64 + 1;
+            if (&mut input).take(cap).read_until(b'\n', &mut buf)? == 0 {
+                return Ok(false);
             }
-            let (response, shutdown) = self.handle_line(&line);
+            let line = if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+                input.skip_until(b'\n')?;
+                Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+            } else {
+                let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                std::str::from_utf8(line).map_err(|_| "request line is not valid UTF-8".to_string())
+            };
+            let (response, shutdown) = match line {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => self.handle_line(line),
+                Err(message) => (self.fail("parse", ErrorKind::BadRequest, message), false),
+            };
             output.write_all(response.render_line().as_bytes())?;
             output.write_all(b"\n")?;
             output.flush()?;
@@ -483,7 +505,6 @@ impl Daemon {
                 return Ok(true);
             }
         }
-        Ok(false)
     }
 
     /// Parses and handles one request line; the boolean reports whether it
@@ -1627,6 +1648,33 @@ mod tests {
         assert!(lines[0].contains(r#""ok":true"#));
         assert!(lines[1].contains("bad-request"));
         assert!(lines[2].contains(r#""ok":true"#));
+    }
+
+    #[test]
+    fn serve_io_answers_hostile_lines_and_keeps_serving() {
+        let mut daemon = Daemon::new(DaemonConfig::default());
+        let mut input = br#"{"op":"open","tenant":"a","algo":"oa","m":1}"#.to_vec();
+        input.extend_from_slice(b"\n\xff\xfe\n");
+        // A request the daemon would serve, padded with JSON whitespace to
+        // one byte over the line cap.
+        let mut long = br#"{"op":"snapshot""#.to_vec();
+        long.resize(MAX_LINE_BYTES, b' ');
+        long.extend_from_slice(b"}\n");
+        input.extend_from_slice(&long);
+        input.extend_from_slice("[".repeat(200_000).as_bytes());
+        input.extend_from_slice(b"\n{\"op\":\"snapshot\"}\n");
+        let mut output = Vec::new();
+        let shutdown = daemon
+            .serve_io(std::io::Cursor::new(input), &mut output)
+            .unwrap();
+        assert!(!shutdown);
+        let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        assert!(lines[0].contains(r#""ok":true"#));
+        for line in &lines[1..4] {
+            assert!(line.contains("bad-request"), "{line}");
+        }
+        assert!(lines[4].contains(r#""tenant":"a""#), "{}", lines[4]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Streaming trace export: solve an instance with engine racing while a
-//! [`TraceCollector`] records every span, instant, and counter sample, then
-//! export the run as Chrome Trace Event JSON (open it in
-//! <https://ui.perfetto.dev> or `chrome://tracing`) and as collapsed stacks
-//! for flamegraph tooling.
+//! Streaming trace export: solve an instance while a [`TraceCollector`]
+//! records every span, instant, and counter sample, then export the run as
+//! Chrome Trace Event JSON (open it in <https://ui.perfetto.dev> or
+//! `chrome://tracing`) and as collapsed stacks for flamegraph tooling.
 //!
 //! The exported trace has one named track per execution lane: the caller's
-//! `main` track plus, because racing is on, a `race.dinic` and a `race.pr`
-//! track carrying each contender's `race.probe` spans — with a
-//! `race.cancelled` instant on the loser of every probe.
+//! `main` track carries a Dinic solve, and a `push-relabel` track, forked
+//! off it and adopted back, carries the same solve on the other max-flow
+//! engine.
 //!
 //! Run with: `cargo run --example perfetto_trace`
 
@@ -29,12 +28,16 @@ fn main() -> std::io::Result<()> {
     )
     .expect("valid instance");
 
+    let mut trace = TraceCollector::new("main");
+    let result = optimal_schedule_observed(&instance, &OfflineOptions::default(), &mut trace)
+        .expect("solvable");
+    let mut lane = trace.fork("push-relabel");
     let opts = OfflineOptions {
-        race_engines: true,
+        engine: FlowEngine::PushRelabel,
         ..Default::default()
     };
-    let mut trace = TraceCollector::new("main");
-    let result = optimal_schedule_observed(&instance, &opts, &mut trace).expect("solvable");
+    optimal_schedule_observed(&instance, &opts, &mut lane).expect("solvable");
+    trace.adopt(lane);
     println!(
         "solved: {} phases, {} max-flow computations",
         result.phases.len(),
@@ -43,9 +46,9 @@ fn main() -> std::io::Result<()> {
 
     let dir = std::env::temp_dir().join("mpss-traces");
     std::fs::create_dir_all(&dir)?;
-    let chrome = dir.join("race.trace.json");
+    let chrome = dir.join("solve.trace.json");
     trace.write_chrome_trace(&chrome)?;
-    let folded = dir.join("race.folded");
+    let folded = dir.join("solve.folded");
     std::fs::write(&folded, trace.collapsed_stacks())?;
 
     // The exporter promises Perfetto-loadable output; check it the same way

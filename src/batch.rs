@@ -146,10 +146,7 @@ mod tests {
     #[test]
     fn single_threaded_batch_is_the_sequential_loop() {
         let batch = batch_of(3);
-        let opts = OfflineOptions {
-            race_engines: true,
-            ..Default::default()
-        };
+        let opts = OfflineOptions::default();
         let seq = solve_many(&batch, &opts, &ThreadPool::new(1));
         let par = solve_many(&batch, &opts, &ThreadPool::new(8));
         for (a, b) in seq.iter().zip(&par) {

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mpss-cli generate --family uniform --n 20 --m 4 [--horizon 48] [--seed 1] -o trace.json
-//! mpss-cli solve trace.json [--alpha 3] [--gantt] [--cold-flow] [--race] [--save-schedule out.json] [--report out.json]
-//! mpss-cli solve-batch --dir traces/ [--alpha 3] [--threads N] [--race] [--report-dir reports/]
+//! mpss-cli solve trace.json [--alpha 3] [--gantt] [--cold-flow] [--save-schedule out.json] [--report out.json]
+//! mpss-cli solve-batch --dir traces/ [--alpha 3] [--threads N] [--report-dir reports/]
 //! mpss-cli online trace.json --algo oa|avr|bkp [--alpha 3] [--cold-flow] [--threads N] [--report out.json]
 //! mpss-cli bounds trace.json [--alpha 3]
 //! mpss-cli check trace.json schedule.json
@@ -22,8 +22,8 @@
 //! histograms) it collected. `--trace <path>` additionally streams every
 //! span/instant/counter event into a [`TraceCollector`] and exports Chrome
 //! Trace Event JSON — load it in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing` to see per-worker and per-race-contender tracks on one
-//! time axis. `--flame <path>` writes the same trace as collapsed stacks
+//! `chrome://tracing` to see per-worker tracks on one time axis.
+//! `--flame <path>` writes the same trace as collapsed stacks
 //! (`track;outer;inner weight_ns` lines) for flamegraph tooling.
 //! `--cold-flow` disables the warm-start max-flow
 //! path (and OA replan reseeding), running every repair round from a freshly
@@ -59,9 +59,7 @@
 //! Parallelism: `--threads N` sizes the worker pool explicitly; without it
 //! the `MPSS_THREADS` environment variable, then the machine's available
 //! parallelism, decide. The effective count is recorded in every `--report`
-//! as the `par.pool.threads` counter. `--race` runs both max-flow engines on
-//! each probe and keeps the first finisher (identical phases and energy —
-//! see the "Parallel execution" section of DESIGN.md).
+//! as the `par.pool.threads` counter.
 
 use mpss::prelude::*;
 use mpss::sim::{fleet_stats, job_stats, render_gantt, render_svg, SvgOptions};
@@ -106,8 +104,8 @@ fn print_usage() {
         "mpss-cli — multi-processor speed scaling with migration (SPAA 2011)\n\n\
          USAGE:\n\
          \u{20}  mpss-cli generate --family <name> --n <jobs> --m <procs> [--horizon H] [--seed S] -o <trace.json>\n\
-         \u{20}  mpss-cli solve <trace.json> [--alpha A] [--gantt] [--cold-flow] [--race] [--save-schedule <out.json>] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
-         \u{20}  mpss-cli solve-batch --dir <traces/> [--alpha A] [--threads N] [--race] [--cold-flow] [--report-dir <reports/>] [--trace <out.trace.json>]\n\
+         \u{20}  mpss-cli solve <trace.json> [--alpha A] [--gantt] [--cold-flow] [--save-schedule <out.json>] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
+         \u{20}  mpss-cli solve-batch --dir <traces/> [--alpha A] [--threads N] [--cold-flow] [--report-dir <reports/>] [--trace <out.trace.json>]\n\
          \u{20}  mpss-cli online <trace.json> --algo <oa|avr|bkp> [--alpha A] [--cold-flow] [--threads N] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
          \u{20}  mpss-cli bounds <trace.json> [--alpha A]\n\
          \u{20}  mpss-cli stats <trace.json> [--alpha A]\n\
@@ -260,14 +258,13 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["gantt", "cold-flow", "race"]);
+    let a = parse(args, &["gantt", "cold-flow"]);
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
     let p = Polynomial::new(alpha);
     let opts = OfflineOptions {
         warm_start: !a.switches.contains(&"cold-flow"),
-        race_engines: a.switches.contains(&"race"),
         ..Default::default()
     };
     let mut rec = RecordingCollector::new();
@@ -340,7 +337,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["cold-flow", "race"]);
+    let a = parse(args, &["cold-flow"]);
     let dir = a
         .flag("dir")
         .or_else(|| a.positional.first().copied())
@@ -363,7 +360,6 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
 
     let opts = OfflineOptions {
         warm_start: !a.switches.contains(&"cold-flow"),
-        race_engines: a.switches.contains(&"race"),
         ..Default::default()
     };
     let pool = ThreadPool::with_threads(a.threads()?);
@@ -428,7 +424,7 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_online(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["cold-flow", "race"]);
+    let a = parse(args, &["cold-flow"]);
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
@@ -439,7 +435,6 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     let oa_opts = OaOptions {
         offline: OfflineOptions {
             warm_start: warm,
-            race_engines: a.switches.contains(&"race"),
             ..Default::default()
         },
         reseed: warm,

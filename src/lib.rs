@@ -77,8 +77,8 @@ pub mod prelude {
     pub use mpss_offline::non_migratory::{non_migratory_schedule, AssignPolicy};
     pub use mpss_offline::speed_bound::{feasible_at_cap, minimum_peak_speed};
     pub use mpss_offline::{
-        optimal_schedule, optimal_schedule_observed, optimal_schedule_seeded,
-        optimal_schedule_with, yds_schedule, FlowEngine, OfflineOptions, SeedPlan,
+        optimal_schedule, optimal_schedule_observed, optimal_schedule_with, yds_schedule,
+        FlowEngine, OfflineOptions, SeedPlan,
     };
     pub use mpss_online::{
         audit_oa_potential, avr_proof_terms, avr_schedule, avr_schedule_observed,

@@ -188,7 +188,7 @@ fn bkp_requires_single_processor_traces() {
     assert!(out.contains("BKP"));
 
     // And an m = 2 trace is rejected with a clear error.
-    let trace2 = tmp("bkp-m2.json");
+    let trace_m2 = tmp("bkp-m2.json");
     run_ok(cli().args([
         "generate",
         "--family",
@@ -202,10 +202,10 @@ fn bkp_requires_single_processor_traces() {
         "--seed",
         "2",
         "-o",
-        trace2.to_str().unwrap(),
+        trace_m2.to_str().unwrap(),
     ]));
     let out = cli()
-        .args(["online", trace2.to_str().unwrap(), "--algo", "bkp"])
+        .args(["online", trace_m2.to_str().unwrap(), "--algo", "bkp"])
         .output()
         .unwrap();
     assert!(!out.status.success());

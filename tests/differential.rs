@@ -1,5 +1,5 @@
-//! Differential testing of the warm-start incremental solver — and the
-//! engine-racing portfolio — against the cold oracle.
+//! Differential testing of the warm-start incremental solver against the
+//! cold oracle.
 //!
 //! The warm path (`OfflineOptions::warm_start`, the default) reuses the
 //! residual network across repair rounds and speed probes instead of
@@ -31,16 +31,6 @@ fn solve(ins: &Instance<f64>, engine: FlowEngine, warm_start: bool) -> OptimalRe
         record_trace: true,
         engine,
         warm_start,
-        ..Default::default()
-    };
-    mpss::offline::optimal_schedule_with(ins, &opts).unwrap()
-}
-
-fn solve_raced(ins: &Instance<f64>, warm_start: bool) -> OptimalResult<f64> {
-    let opts = OfflineOptions {
-        record_trace: true,
-        warm_start,
-        race_engines: true,
         ..Default::default()
     };
     mpss::offline::optimal_schedule_with(ins, &opts).unwrap()
@@ -96,24 +86,6 @@ fn warm_and_cold_solvers_agree_bit_for_bit() {
     });
 }
 
-/// Engine racing ≡ solo Dinic on the same envelope: whichever engine
-/// wins each probe, the flow *value* (and hence every speed, phase and
-/// repair decision) is identical, so the raced solver's output — warm
-/// and cold — matches the single-engine oracle bit-for-bit.
-#[test]
-fn raced_and_solo_solvers_agree_bit_for_bit() {
-    check(512, |rng| {
-        let (n, m) = (rng.gen_range(2..25), rng.gen_range(1..7));
-        let ins = differential_instance(n, m, rng);
-        let cold = solve(&ins, FlowEngine::Dinic, false);
-        let raced_warm = solve_raced(&ins, true);
-        assert!(validate_schedule(&ins, &raced_warm.schedule, 1e-6).is_ok());
-        assert_phases_bit_identical(&raced_warm, &cold, "raced warm vs dinic cold");
-        let raced_cold = solve_raced(&ins, false);
-        assert_phases_bit_identical(&raced_cold, &cold, "raced cold vs dinic cold");
-    });
-}
-
 /// On small instances both solvers' energy matches the independent LP
 /// discretisation baseline within its convergence tolerance.
 #[test]
@@ -141,9 +113,8 @@ fn both_solvers_match_the_lp_baseline() {
     });
 }
 
-/// The seeded entry point with an empty / nonsense seed still reproduces
-/// the cold phases — seeding is capacity-clamped, so it can never change
-/// the answer.
+/// A nonsense seed plan still reproduces the cold phases — seeding is
+/// capacity-clamped, so it can never change the answer.
 #[test]
 fn arbitrary_seed_spans_cannot_change_the_result() {
     use mpss::obs::NoopCollector;
@@ -160,8 +131,14 @@ fn arbitrary_seed_spans_cannot_change_the_result() {
             record_trace: true,
             ..Default::default()
         };
-        let seeded =
-            optimal_schedule_seeded(&ins, &opts, Some(&garbage), &mut NoopCollector).unwrap();
+        let seeded = mpss::offline::optimal_schedule_prepared(
+            &ins,
+            &opts,
+            Some(&garbage),
+            None,
+            &mut NoopCollector,
+        )
+        .unwrap();
         assert_eq!(seeded.phases.len(), cold.phases.len(), "seed {seed}");
         for (pa, pb) in seeded.phases.iter().zip(&cold.phases) {
             assert_eq!(pa.speed.to_bits(), pb.speed.to_bits(), "seed {seed}");

@@ -1,8 +1,7 @@
 //! Determinism of the `mpss-par` hot paths: every parallel entry point must
 //! be a pure work optimisation, producing bit-identical output to its
-//! sequential oracle at any thread count — and engine racing must reproduce
-//! the single-engine solve exactly, including in exact rational arithmetic
-//! on the golden corpus.
+//! sequential oracle at any thread count — including in exact rational
+//! arithmetic on the golden corpus, on either engine, warm or cold.
 
 use mpss::numeric::rational::rat;
 use mpss::numeric::rng::{check, Rng};
@@ -64,11 +63,11 @@ fn batched_solves_match_solo_in_order() {
     });
 }
 
-/// Engine racing on the golden corpus, in exact rational arithmetic: the
-/// raced solve (Dinic vs push–relabel per probe, first finisher kept) must
-/// reproduce the solo-Dinic phases, repair traces and exact energies
-/// whichever engine wins each probe — the soundness claim of
-/// DESIGN.md's "Parallel execution" section, pinned on exact numbers.
+/// Engine × warmth on the golden corpus, in exact rational arithmetic and
+/// through the pooled batch path: every solve, on Dinic or push–relabel,
+/// warm or cold, must reproduce the solo cold-Dinic phases, repair traces
+/// and exact energies. Every maximum flow shares its value and Lemma 4's
+/// canonical min cut, so the engine choice is a pure work optimisation.
 #[test]
 fn golden_corpus_racing_equals_single_engine() {
     let fig2: Instance<Rational> = Instance::new(
@@ -94,92 +93,78 @@ fn golden_corpus_racing_equals_single_engine() {
     .unwrap();
     let three: Instance<Rational> =
         Instance::new(2, vec![job(rat(0, 1), rat(3, 1), rat(3, 1)); 3]).unwrap();
-    for (name, ins) in [
-        ("fig2", fig2),
-        ("staircase", staircase),
-        ("three-jobs", three),
-    ] {
-        let solve = |race_engines: bool, warm_start: bool| {
-            let opts = OfflineOptions {
-                record_trace: true,
-                race_engines,
-                warm_start,
-                ..Default::default()
-            };
-            optimal_schedule_with(&ins, &opts).unwrap()
-        };
-        let solo = solve(false, false);
-        // The fig2 ladder is the paper's: 6 > 2 > 1/2 > 1/3.
-        if name == "fig2" {
-            let speeds: Vec<Rational> = solo.phases.iter().map(|p| p.speed).collect();
-            assert_eq!(speeds, vec![rat(6, 1), rat(2, 1), rat(1, 2), rat(1, 3)]);
-        }
-        for warm_start in [true, false] {
-            let raced = solve(true, warm_start);
-            assert_feasible(&ins, &raced.schedule, 0.0);
-            assert_eq!(
-                raced.phases.len(),
-                solo.phases.len(),
-                "{name} warm={warm_start}: phase count under racing"
-            );
-            for (i, (pa, pb)) in raced.phases.iter().zip(&solo.phases).enumerate() {
-                assert_eq!(
-                    pa.speed, pb.speed,
-                    "{name} warm={warm_start}: phase {i} exact speed"
-                );
-                assert_eq!(pa.jobs, pb.jobs, "{name} warm={warm_start}: phase {i} jobs");
-                assert_eq!(
-                    pa.procs, pb.procs,
-                    "{name} warm={warm_start}: phase {i} procs"
-                );
-                assert_eq!(
-                    pa.rounds, pb.rounds,
-                    "{name} warm={warm_start}: phase {i} rounds"
-                );
-            }
-            assert_eq!(
-                raced.flow_computations, solo.flow_computations,
-                "{name} warm={warm_start}: flow computations"
-            );
-            assert_eq!(
-                raced
-                    .trace
-                    .iter()
-                    .map(|r| (r.phase, r.candidate_size, r.removed))
-                    .collect::<Vec<_>>(),
-                solo.trace
-                    .iter()
-                    .map(|r| (r.phase, r.candidate_size, r.removed))
-                    .collect::<Vec<_>>(),
-                "{name} warm={warm_start}: repair traces"
-            );
-            assert_eq!(
-                schedule_energy_exact(&raced.schedule, 2),
-                schedule_energy_exact(&solo.schedule, 2),
-                "{name} warm={warm_start}: exact energy"
-            );
-        }
-    }
-}
-
-/// Every probe in a raced solve is won by exactly one engine, and the win
-/// counters add up to the probe count.
-#[test]
-fn race_win_counters_partition_the_probes() {
-    let ins = random_instance(12, 3, 7);
-    let opts = OfflineOptions {
-        race_engines: true,
+    let names = ["fig2", "staircase", "three-jobs"];
+    let corpus = vec![fig2, staircase, three];
+    let options = |engine: FlowEngine, warm_start: bool| OfflineOptions {
+        record_trace: true,
+        engine,
+        warm_start,
         ..Default::default()
     };
-    let mut rec = RecordingCollector::new();
-    let res = mpss::offline::optimal_schedule_observed(&ins, &opts, &mut rec).unwrap();
-    let dinic = rec.counter("par.race.dinic_wins");
-    let pr = rec.counter("par.race.pr_wins");
-    assert_eq!(
-        dinic + pr,
-        res.flow_computations as u64,
-        "every probe must have exactly one race winner"
-    );
+    let cold: Vec<_> = corpus
+        .iter()
+        .map(|ins| optimal_schedule_with(ins, &options(FlowEngine::Dinic, false)).unwrap())
+        .collect();
+    // The fig2 ladder is the paper's: 6 > 2 > 1/2 > 1/3.
+    let speeds: Vec<Rational> = cold[0].phases.iter().map(|p| p.speed).collect();
+    assert_eq!(speeds, vec![rat(6, 1), rat(2, 1), rat(1, 2), rat(1, 3)]);
+    let pool = ThreadPool::new(3);
+    for (tag, engine) in [
+        ("dinic", FlowEngine::Dinic),
+        ("pr", FlowEngine::PushRelabel),
+    ] {
+        for warm_start in [true, false] {
+            let outputs = solve_many(&corpus, &options(engine, warm_start), &pool);
+            assert_eq!(outputs.len(), corpus.len());
+            for (((name, ins), solo), out) in names.iter().zip(&corpus).zip(&cold).zip(&outputs) {
+                let res = out.result.as_ref().unwrap();
+                assert_feasible(ins, &res.schedule, 0.0);
+                assert_eq!(
+                    res.phases.len(),
+                    solo.phases.len(),
+                    "{name}/{tag} warm={warm_start}: phase count"
+                );
+                for (i, (pa, pb)) in res.phases.iter().zip(&solo.phases).enumerate() {
+                    assert_eq!(
+                        pa.speed, pb.speed,
+                        "{name}/{tag} warm={warm_start}: phase {i} exact speed"
+                    );
+                    assert_eq!(
+                        pa.jobs, pb.jobs,
+                        "{name}/{tag} warm={warm_start}: phase {i} jobs"
+                    );
+                    assert_eq!(
+                        pa.procs, pb.procs,
+                        "{name}/{tag} warm={warm_start}: phase {i} procs"
+                    );
+                    assert_eq!(
+                        pa.rounds, pb.rounds,
+                        "{name}/{tag} warm={warm_start}: phase {i} rounds"
+                    );
+                }
+                assert_eq!(
+                    res.flow_computations, solo.flow_computations,
+                    "{name}/{tag} warm={warm_start}: flow computations"
+                );
+                assert_eq!(
+                    res.trace
+                        .iter()
+                        .map(|r| (r.phase, r.candidate_size, r.removed))
+                        .collect::<Vec<_>>(),
+                    solo.trace
+                        .iter()
+                        .map(|r| (r.phase, r.candidate_size, r.removed))
+                        .collect::<Vec<_>>(),
+                    "{name}/{tag} warm={warm_start}: repair traces"
+                );
+                assert_eq!(
+                    schedule_energy_exact(&res.schedule, 2),
+                    schedule_energy_exact(&solo.schedule, 2),
+                    "{name}/{tag} warm={warm_start}: exact energy"
+                );
+            }
+        }
+    }
 }
 
 /// The pool honours explicit sizes and `MPSS_THREADS`, and both the batch

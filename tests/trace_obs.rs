@@ -1,12 +1,11 @@
-//! Integration tests for the streaming trace layer: raced solves produce
-//! multi-track Chrome Trace Event JSON, batch runs get one track per
+//! Integration tests for the streaming trace layer: solves on forked tracks
+//! produce multi-track Chrome Trace Event JSON, batch runs get one track per
 //! worker, the counter-name manifest covers everything the solvers emit,
 //! and the `report-diff` / `trace-check` CLI gates behave.
 //!
 //! Everything here goes through `mpss_obs::json` — no serde — so the tests
 //! run identically with or without the real serde stack.
 
-use mpss::obs::json::Json;
 use mpss::obs::{names, TraceEventKind};
 use mpss::prelude::*;
 use std::path::PathBuf;
@@ -22,9 +21,9 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// A workload with several phases and repair rounds, so raced solves go
+/// A workload with several phases and repair rounds, so a solve goes
 /// through many max-flow probes.
-fn racing_instance() -> Instance<f64> {
+fn repair_instance() -> Instance<f64> {
     Instance::new(
         3,
         vec![
@@ -40,57 +39,30 @@ fn racing_instance() -> Instance<f64> {
     .unwrap()
 }
 
-#[test]
-fn raced_solve_traces_contender_tracks_with_cancel_instants() {
-    let instance = racing_instance();
-    let opts = OfflineOptions {
-        race_engines: true,
+/// Push–relabel options, for the second lane of a two-lane run.
+fn push_relabel() -> OfflineOptions {
+    OfflineOptions {
+        engine: FlowEngine::PushRelabel,
         ..Default::default()
-    };
-    let mut trace = TraceCollector::new("main");
-    let result = optimal_schedule_observed(&instance, &opts, &mut trace).unwrap();
-    assert!(result.flow_computations > 1, "want a real race workload");
-
-    // One track per execution lane: the caller plus both race contenders.
-    let tracks = trace.track_names();
-    assert!(tracks.len() >= 3, "tracks: {tracks:?}");
-    assert_eq!(tracks[0], "main");
-    let dinic = tracks.iter().position(|t| t == "race.dinic").unwrap() as u32;
-    let pr = tracks.iter().position(|t| t == "race.pr").unwrap() as u32;
-
-    // Every probe cancels exactly one loser, on that loser's own track.
-    let cancelled: Vec<u32> = trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == TraceEventKind::Instant("race.cancelled"))
-        .map(|e| e.track)
-        .collect();
-    assert_eq!(cancelled.len(), result.flow_computations);
-    assert!(cancelled.iter().all(|t| *t == dinic || *t == pr));
-    // Both contenders ran probes (each records a race.probe span per flow).
-    for track in [dinic, pr] {
-        let probes = trace
-            .events()
-            .iter()
-            .filter(|e| e.track == track && e.kind == TraceEventKind::Begin("race.probe"))
-            .count();
-        assert_eq!(probes, result.flow_computations, "track {track}");
     }
+}
 
-    // The Chrome export of that trace passes the validator: well-nested
-    // begin/end and monotone timestamps per track.
-    let check = mpss::obs::validate_chrome_trace(&trace.chrome_trace().render()).unwrap();
-    assert_eq!(check.tracks, tracks.len());
-    assert_eq!(check.track_names, tracks);
-    assert!(
-        check.max_depth >= 2,
-        "phase spans nest under the solve span"
-    );
+/// [`repair_instance`] solved twice into one trace: with Dinic on the root
+/// `main` track, and with push–relabel on a `push-relabel` track forked
+/// off it and adopted back.
+fn two_lane_trace() -> TraceCollector {
+    let instance = repair_instance();
+    let mut trace = TraceCollector::new("main");
+    optimal_schedule_observed(&instance, &OfflineOptions::default(), &mut trace).unwrap();
+    let mut lane = trace.fork("push-relabel");
+    optimal_schedule_observed(&instance, &push_relabel(), &mut lane).unwrap();
+    trace.adopt(lane);
+    trace
 }
 
 #[test]
 fn batch_trace_forks_one_track_per_worker() {
-    let batch: Vec<Instance<f64>> = (0..4).map(|_| racing_instance()).collect();
+    let batch: Vec<Instance<f64>> = (0..4).map(|_| repair_instance()).collect();
     let mut trace = TraceCollector::new("main");
     let outputs = solve_many_observed(
         &batch,
@@ -116,7 +88,7 @@ fn batch_trace_forks_one_track_per_worker() {
 
 #[test]
 fn batch_collector_totals_equal_the_merged_per_instance_reports() {
-    let batch: Vec<Instance<f64>> = (0..3).map(|_| racing_instance()).collect();
+    let batch: Vec<Instance<f64>> = (0..3).map(|_| repair_instance()).collect();
     let mut obs = RecordingCollector::new();
     let outputs = solve_many_observed(
         &batch,
@@ -158,15 +130,16 @@ fn batch_collector_totals_equal_the_merged_per_instance_reports() {
 
 #[test]
 fn manifest_covers_everything_the_stack_emits() {
-    let instance = racing_instance();
+    let instance = repair_instance();
     let mut rec = RecordingCollector::new();
 
-    // Offline: raced + warm solve.
-    let opts = OfflineOptions {
-        race_engines: true,
-        ..Default::default()
-    };
+    // Offline: warm solves on both engines, push-relabel's on a forked
+    // track adopted back.
+    let opts = OfflineOptions::default();
     optimal_schedule_observed(&instance, &opts, &mut rec).unwrap();
+    let mut lane = rec.fork("push-relabel");
+    optimal_schedule_observed(&instance, &push_relabel(), &mut lane).unwrap();
+    rec.adopt(lane);
     // Offline: cold solve exercises the cold counters.
     let cold = OfflineOptions {
         warm_start: false,
@@ -247,15 +220,8 @@ fn report_diff_cli_gates_regressions_and_passes_self_diffs() {
 
 #[test]
 fn trace_check_cli_validates_an_exported_trace() {
-    let instance = racing_instance();
-    let opts = OfflineOptions {
-        race_engines: true,
-        ..Default::default()
-    };
-    let mut trace = TraceCollector::new("main");
-    optimal_schedule_observed(&instance, &opts, &mut trace).unwrap();
-    let path = tmp("raced.trace.json");
-    trace.write_chrome_trace(&path).unwrap();
+    let path = tmp("two-lane.trace.json");
+    two_lane_trace().write_chrome_trace(&path).unwrap();
 
     let out = cli()
         .args(["trace-check", path.to_str().unwrap()])
@@ -264,7 +230,7 @@ fn trace_check_cli_validates_an_exported_trace() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("valid Chrome Trace Event JSON"));
-    assert!(stdout.contains("race.dinic"));
+    assert!(stdout.contains("push-relabel"));
 
     // Corrupt the nesting: trace-check must reject it.
     let bad = tmp("bad.trace.json");
@@ -279,15 +245,9 @@ fn trace_check_cli_validates_an_exported_trace() {
 
 #[test]
 fn collapsed_stacks_cover_every_track_with_positive_weights() {
-    let instance = racing_instance();
-    let opts = OfflineOptions {
-        race_engines: true,
-        ..Default::default()
-    };
-    let mut trace = TraceCollector::new("main");
-    optimal_schedule_observed(&instance, &opts, &mut trace).unwrap();
+    let trace = two_lane_trace();
     let folded = trace.collapsed_stacks();
-    for prefix in ["main;", "race.dinic;", "race.pr;"] {
+    for prefix in ["main;", "push-relabel;"] {
         assert!(
             folded.lines().any(|l| l.starts_with(prefix)),
             "no stacks for {prefix}: {folded}"
@@ -297,7 +257,13 @@ fn collapsed_stacks_cover_every_track_with_positive_weights() {
         let (_, weight) = line.rsplit_once(' ').unwrap();
         assert!(weight.parse::<u64>().is_ok(), "bad weight in {line}");
     }
-    // Trace totals are self times: the folded weights of a track sum to at
-    // most the span of the track's timeline.
-    assert!(Json::parse(&trace.chrome_trace().render()).is_ok());
+    // The Chrome export of the same trace passes the validator: both lanes,
+    // well-nested begin/end (phase spans under the solve span) and
+    // monotone timestamps per track.
+    let check = mpss::obs::validate_chrome_trace(&trace.chrome_trace().render()).unwrap();
+    assert_eq!(check.track_names, ["main", "push-relabel"]);
+    assert!(
+        check.max_depth >= 2,
+        "phase spans nest under the solve span"
+    );
 }
