@@ -85,11 +85,6 @@ pub const COUNTERS: &[(&str, &str)] = &[
         "max-flow calls made by OA replans",
     ),
     ("oa.replans", "OA replan events (one per arrival)"),
-    ("oa.reseed.jobs", "jobs carried into reseeded OA replans"),
-    (
-        "oa.reseed.replans",
-        "OA replans that reused the previous plan as seed",
-    ),
     (
         "obs.span_mismatch",
         "span_end calls that did not match the open span",

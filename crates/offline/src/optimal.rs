@@ -242,8 +242,9 @@ pub fn optimal_schedule_observed<T: FlowNum, C: Collector>(
 /// round, and cold networks are built by `FlowModel::build_from_ranges`
 /// with zero inactive probes. Both paths produce element-identical networks
 /// and therefore bit-identical results; they differ only in
-/// [`OptimalResult::work_ops`] and in the
-/// `offline.incremental.reused_intervals` counter the prepared path emits.
+/// [`OptimalResult::work_ops`]. The solve emits no `offline.incremental.*`
+/// counter: the planner's
+/// [`sync_observed`](crate::IncrementalPlanner::sync_observed) does.
 pub fn optimal_schedule_prepared<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     opts: &OfflineOptions,

@@ -49,6 +49,7 @@
 
 use mpss_core::json::{any_num, arr, num, uint};
 use mpss_core::{Job, JobId, Schedule};
+use mpss_numeric::FlowNum;
 use mpss_obs::json::Json;
 use mpss_offline::FlowEngine;
 
@@ -75,19 +76,20 @@ fn bad(msg: impl Into<String>) -> CheckpointError {
     CheckpointError(msg.into())
 }
 
-/// The plan an [`OaSession`](crate::OaSession) is currently following,
-/// frozen in serializable form: the sub-instance schedule, the mapping from
-/// plan-internal job indices back to session job ids, and each plan job's
-/// assigned speed (in plan-internal index order).
+/// The plan an [`OaSession`](crate::OaSession) is currently following: the
+/// sub-instance schedule, the mapping from plan-internal job indices back
+/// to session job ids, and each plan job's assigned speed (in
+/// plan-internal index order). The `f64` snapshot is what checkpoints
+/// serialize.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PlanSnapshot {
+pub struct PlanSnapshot<T: FlowNum = f64> {
     /// Maps plan-internal job indices to session job ids.
     pub job_map: Vec<JobId>,
     /// The plan schedule, over plan-internal job ids.
-    pub schedule: Schedule<f64>,
+    pub schedule: Schedule<T>,
     /// Per plan-internal job: the speed the plan assigned it (`None` if it
     /// landed in no phase, which validated inputs never produce).
-    pub speeds: Vec<Option<f64>>,
+    pub speeds: Vec<Option<T>>,
 }
 
 /// Serializable spelling of the max-flow engine a session replans with.

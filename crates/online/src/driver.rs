@@ -110,15 +110,6 @@ pub fn record_energy_trajectory<C: Collector>(
     total
 }
 
-/// Distinct release times of an instance, ascending — the replanning events
-/// of any arrival-driven online algorithm.
-pub fn release_events(instance: &Instance<f64>) -> Vec<f64> {
-    let mut events: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-    events.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    events.dedup();
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +125,6 @@ mod tests {
             vec![job(0.0, 2.0, 2.0), job(1.0, 3.0, 2.0), job(0.0, 4.0, 1.0)],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn release_events_are_sorted_distinct() {
-        assert_eq!(release_events(&sample()), vec![0.0, 1.0]);
     }
 
     #[test]

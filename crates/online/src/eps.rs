@@ -6,34 +6,34 @@
 //! component that asks "is this job still live?" must therefore use the
 //! *same* tolerance, or two components can disagree about the live set —
 //! e.g. a session replanning for a job its metrics already report finished.
-//! This module is that single definition; the former per-call-site copies
-//! of the constant (`OaSession`, the potential-function audit, BKP's EDF
-//! picker) all route through it.
+//! This module is that single definition; `OaSession` (and with it every
+//! OA run), the potential-function audit and BKP's EDF picker all route
+//! through it.
 //!
-//! The tolerance is **relative** to the job's original volume — a job of
-//! volume `1e6` accumulates proportionally larger float error than a job of
-//! volume `1.0` — with an absolute floor of `1e-9` so that sub-unit volumes
-//! (where the relative bound would underflow the achievable float noise)
-//! still get a workable margin.
+//! In `f64` the tolerance is **relative** to the job's original volume — a
+//! job of volume `1e6` accumulates proportionally larger float error than a
+//! job of volume `1.0` — with an absolute floor of `1e-9` so that sub-unit
+//! volumes (where the relative bound would underflow the achievable float
+//! noise) still get a workable margin: `1e-9 · max(volume, 1)`. Exact
+//! arithmetic has no rounding residue, so there a job is live exactly while
+//! work remains.
 
-/// The remaining-volume tolerance for a job of the given original volume:
-/// `1e-9 · max(volume, 1)`.
-#[inline]
-pub fn live_volume_eps(volume: f64) -> f64 {
-    1e-9 * volume.max(1.0)
-}
+use mpss_numeric::FlowNum;
 
 /// Whether a job with `remaining` volume left (of `volume` originally) still
-/// counts as live: `remaining > live_volume_eps(volume)`. Exactly *at* the
-/// tolerance counts as finished.
+/// counts as live: definitely more than zero at the job's scale. In `f64`
+/// that is `remaining > 1e-9 · max(volume, 1)` — exactly *at* the tolerance
+/// counts as finished; in exact arithmetic it is `remaining > 0`.
 #[inline]
-pub fn job_is_live(remaining: f64, volume: f64) -> bool {
-    remaining > live_volume_eps(volume)
+pub fn job_is_live<T: FlowNum>(remaining: T, volume: T) -> bool {
+    T::definitely_lt(T::zero(), remaining, volume, 1e-9)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpss_numeric::rational::rat;
+    use mpss_numeric::Rational;
 
     #[test]
     fn boundary_is_exclusive_and_scales_with_volume() {
@@ -45,9 +45,13 @@ mod tests {
         assert!(job_is_live(1.1e-3, 1e6));
         // Tiny volumes keep the absolute 1e-9 floor rather than shrinking
         // the band below float noise.
-        assert_eq!(live_volume_eps(1e-6), 1e-9);
+        assert!(!job_is_live(1e-9, 1e-6));
+        assert!(job_is_live(1.1e-9, 1e-6));
         assert!(!job_is_live(0.9e-9, 1e-6));
         // Fully unexecuted jobs are trivially live.
         assert!(job_is_live(1.0, 1.0));
+        // Exact arithmetic: live exactly while any work remains.
+        assert!(job_is_live(rat(1, 1_000_000_000_000), Rational::ONE));
+        assert!(!job_is_live(Rational::ZERO, Rational::ONE));
     }
 }

@@ -81,11 +81,8 @@ pub use checkpoint::{
 pub use driver::{
     competitive_report, competitive_report_observed, record_energy_trajectory, RatioReport,
 };
-pub use eps::{job_is_live, live_volume_eps};
-pub use oa::{
-    oa_schedule, oa_schedule_observed, oa_schedule_observed_with, oa_schedule_with_options,
-    oa_schedule_with_plans, OaOptions,
-};
+pub use eps::job_is_live;
+pub use oa::{oa_schedule, oa_schedule_observed, oa_schedule_with_plans};
 pub use potential::{audit_oa_potential, PotentialAudit};
 pub use session::{OaSession, ReplanSummary, SessionError};
 pub use session_metrics::SessionMetrics;

@@ -12,37 +12,16 @@
 //!   increase;
 //! * **Lemma 8:** the per-time minimum processor speed can only increase;
 //! * **Lemma 10:** growing the new job's volume never decreases any speed.
+//!
+//! Every function here replays an instance through an [`OaSession`], the
+//! replan loop the `mpss-serve` daemon runs for each OA tenant, so these
+//! checks test the code that serves.
 
-use mpss_core::{Instance, Job, JobId, ModelError, Schedule};
+use crate::session::{OaSession, SessionError};
+use mpss_core::{Instance, JobId, ModelError, Schedule};
 use mpss_numeric::FlowNum;
 use mpss_obs::{Collector, NoopCollector};
-use mpss_offline::optimal::{optimal_schedule_prepared, OfflineOptions, OptimalResult, SeedPlan};
-
-/// Tuning knobs for the OA(m) driver.
-#[derive(Clone, Debug)]
-pub struct OaOptions {
-    /// Options forwarded to every nested offline solve.
-    pub offline: OfflineOptions,
-    /// Seed each replan's flow networks from the surviving jobs' execution
-    /// spans in the previous plan (default `true`; requires
-    /// `offline.warm_start`). Replans differ from the previous plan by one
-    /// arrival, so most of the previous flow routes unchanged — the offline
-    /// solver only performs the corrective augmentation. Each plan's phases
-    /// (speeds, job sets, reservations) are identical either way; its
-    /// packing into processors and intervals is not unique and may differ,
-    /// and so may the executed history of the run, which follows each plan
-    /// only up to the next arrival.
-    pub reseed: bool,
-}
-
-impl Default for OaOptions {
-    fn default() -> Self {
-        OaOptions {
-            offline: OfflineOptions::default(),
-            reseed: true,
-        }
-    }
-}
+use mpss_offline::optimal::{FlowEngine, OptimalResult};
 
 /// Outcome of an OA(m) run.
 #[derive(Clone, Debug)]
@@ -63,7 +42,7 @@ pub struct PlanRecord<T: FlowNum = f64> {
     /// Original job ids of the sub-instance, aligned with the plan's jobs.
     pub job_map: Vec<JobId>,
     /// The sub-instance the plan solves: the released, unfinished work
-    /// with availability from `time`.
+    /// with availability from `time`, in arrival order.
     pub instance: Instance<T>,
     /// The optimal plan computed for the remaining work at `time`.
     pub plan: OptimalResult<T>,
@@ -73,18 +52,7 @@ pub struct PlanRecord<T: FlowNum = f64> {
 /// Works in either numeric mode — in exact rationals the whole online run,
 /// including every replanned optimal schedule, is bit-exact.
 pub fn oa_schedule<T: FlowNum>(instance: &Instance<T>) -> Result<OaOutcome<T>, ModelError> {
-    let (outcome, _) = oa_run(instance, &OaOptions::default(), false, &mut NoopCollector)?;
-    Ok(outcome)
-}
-
-/// [`oa_schedule`] with explicit [`OaOptions`] (engine choice, warm start,
-/// replan reseeding).
-pub fn oa_schedule_with_options<T: FlowNum>(
-    instance: &Instance<T>,
-    opts: &OaOptions,
-) -> Result<OaOutcome<T>, ModelError> {
-    let (outcome, _) = oa_run(instance, opts, false, &mut NoopCollector)?;
-    Ok(outcome)
+    replay(instance, FlowEngine::default(), &mut NoopCollector, None)
 }
 
 /// [`oa_schedule`] with an instrumentation [`Collector`].
@@ -92,28 +60,15 @@ pub fn oa_schedule_with_options<T: FlowNum>(
 /// Every arrival that triggers a recomputation is wrapped in a span
 /// `oa.replan` — a recording collector therefore aggregates the per-arrival
 /// replanning latency into the histogram `span.oa.replan.ms`. The nested
-/// offline run reports through the same collector (its spans appear as
-/// children of `oa.replan`). Counters: `oa.replans` (recomputations actually
-/// performed), `oa.maxflow.invocations`, and — when reseeding is on —
-/// `oa.reseed.replans` (replans that received a span seed) and
-/// `oa.reseed.jobs` (surviving jobs whose previous execution spans were
-/// transplanted).
+/// offline run and the session's incremental planner report through the
+/// same collector (the solve's spans appear as children of `oa.replan`).
+/// Counters: `oa.replans`, `oa.maxflow.invocations` and
+/// `offline.incremental.*`, as every observed session arrival emits them.
 pub fn oa_schedule_observed<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
     obs: &mut C,
 ) -> Result<OaOutcome<T>, ModelError> {
-    let (outcome, _) = oa_run(instance, &OaOptions::default(), false, obs)?;
-    Ok(outcome)
-}
-
-/// [`oa_schedule_observed`] with explicit [`OaOptions`].
-pub fn oa_schedule_observed_with<T: FlowNum, C: Collector>(
-    instance: &Instance<T>,
-    opts: &OaOptions,
-    obs: &mut C,
-) -> Result<OaOutcome<T>, ModelError> {
-    let (outcome, _) = oa_run(instance, opts, false, obs)?;
-    Ok(outcome)
+    replay(instance, FlowEngine::default(), obs, None)
 }
 
 /// Like [`oa_schedule`], additionally returning every intermediate plan —
@@ -122,130 +77,71 @@ pub fn oa_schedule_observed_with<T: FlowNum, C: Collector>(
 pub fn oa_schedule_with_plans<T: FlowNum>(
     instance: &Instance<T>,
 ) -> Result<(OaOutcome<T>, Vec<PlanRecord<T>>), ModelError> {
-    oa_run(instance, &OaOptions::default(), true, &mut NoopCollector)
+    let mut plans = Vec::new();
+    let outcome = replay(
+        instance,
+        FlowEngine::default(),
+        &mut NoopCollector,
+        Some(&mut plans),
+    )?;
+    Ok((outcome, plans))
 }
 
-fn oa_run<T: FlowNum, C: Collector>(
+/// The OA(m) driver: opens an [`OaSession`] at the first release time,
+/// advances it to each distinct release time and announces the jobs
+/// released there, in index order, as one batch (one replan per release
+/// time). Session job `s` is instance job `order[s]`; the schedule and any
+/// recorded plans are mapped back to instance ids.
+pub(crate) fn replay<T: FlowNum, C: Collector>(
     instance: &Instance<T>,
-    opts: &OaOptions,
-    record: bool,
+    engine: FlowEngine,
     obs: &mut C,
-) -> Result<(OaOutcome<T>, Vec<PlanRecord<T>>), ModelError> {
-    const EPS: f64 = 1e-9;
-    let n = instance.n();
-    let mut remaining: Vec<T> = instance.jobs.iter().map(|j| j.volume).collect();
-    let mut schedule = Schedule::new(instance.m);
-    let mut plans = Vec::new();
-    let mut flow_computations = 0usize;
-
-    // Release events, ascending and distinct.
-    let mut events: Vec<T> = instance.jobs.iter().map(|j| j.release).collect();
-    events.sort_by(|a, b| a.partial_cmp(b).expect("comparable times"));
-    events.dedup_by(|a, b| a == b);
-    let replans = events.len();
-    let horizon = instance.max_deadline().unwrap_or_else(T::zero);
-    // Previous plan (job map + schedule), kept to seed the next replan.
-    let mut prev: Option<(Vec<JobId>, Schedule<T>)> = None;
-
-    for (ei, &t) in events.iter().enumerate() {
-        // Sub-instance: released, unfinished work; availability from `t`.
-        let mut job_map: Vec<JobId> = Vec::new();
-        let mut sub_jobs: Vec<Job<T>> = Vec::new();
-        for (k, job) in instance.jobs.iter().enumerate() {
-            let live = T::definitely_lt(T::zero(), remaining[k], job.volume, EPS);
-            if !(t < job.release) && live {
-                debug_assert!(
-                    t < job.deadline,
-                    "deadline passed with unfinished work (infeasible execution)"
-                );
-                job_map.push(k);
-                sub_jobs.push(Job::new(t, job.deadline, remaining[k]));
-            }
-        }
-        if sub_jobs.is_empty() {
-            continue;
-        }
-        // Seed the replan from the surviving jobs' execution spans in the
-        // previous plan (clipped to the future): the new instance differs
-        // from the previous one by a single arrival, so most of the
-        // previous flow routes unchanged through the new networks.
-        let seed = if opts.reseed && opts.offline.warm_start {
-            prev.as_ref().and_then(|(pmap, psched)| {
-                let mut spans: Vec<Vec<(T, T)>> = vec![Vec::new(); job_map.len()];
-                let mut seeded_jobs = 0u64;
-                for (i, &orig) in job_map.iter().enumerate() {
-                    let Some(pi) = pmap.iter().position(|&o| o == orig) else {
-                        continue;
-                    };
-                    for seg in &psched.segments {
-                        if seg.job == pi && t < seg.end {
-                            spans[i].push((seg.start.max2(t), seg.end));
-                        }
-                    }
-                    if !spans[i].is_empty() {
-                        seeded_jobs += 1;
-                    }
-                }
-                if seeded_jobs == 0 {
-                    return None;
-                }
-                obs.count("oa.reseed.replans", 1);
-                obs.count("oa.reseed.jobs", seeded_jobs);
-                Some(SeedPlan { spans })
-            })
-        } else {
-            None
-        };
-        obs.instant("oa.arrival");
-        obs.span_start("oa.replan");
-        let solved = Instance::new(instance.m, sub_jobs).and_then(|sub| {
-            let plan = optimal_schedule_prepared(&sub, &opts.offline, seed.as_ref(), None, obs)?;
-            Ok((sub, plan))
-        });
-        let (sub, plan) = match solved {
-            Ok(solved) => solved,
-            Err(e) => {
-                obs.span_end("oa.replan");
-                return Err(e);
-            }
-        };
-        flow_computations += plan.flow_computations;
-        obs.count("oa.replans", 1);
-        obs.count("oa.maxflow.invocations", plan.flow_computations as u64);
-
-        // Follow the plan until the next arrival (or to completion).
-        let until = events.get(ei + 1).copied().unwrap_or(horizon);
-        let window = plan.schedule.restrict(t, until);
-        for seg in &window.segments {
-            let orig = job_map[seg.job];
-            remaining[orig] -= seg.work();
-            schedule.push(mpss_core::Segment { job: orig, ..*seg });
-        }
-        obs.span_end("oa.replan");
-        prev = Some((job_map.clone(), plan.schedule.clone()));
-        if record {
-            plans.push(PlanRecord {
-                time: t,
-                job_map,
-                instance: sub,
-                plan,
-            });
-        }
+    mut plans: Option<&mut Vec<PlanRecord<T>>>,
+) -> Result<OaOutcome<T>, ModelError> {
+    let jobs = &instance.jobs;
+    let mut order: Vec<JobId> = (0..jobs.len()).collect();
+    // Stable: jobs released together keep their index order.
+    order.sort_by(|&a, &b| {
+        jobs[a]
+            .release
+            .partial_cmp(&jobs[b].release)
+            .expect("comparable times")
+    });
+    let start = order.first().map_or_else(T::zero, |&k| jobs[k].release);
+    let mut session = OaSession::with_engine(instance.m, start, engine);
+    let mut batch = Vec::new();
+    for released in order.chunk_by(|&a, &b| jobs[a].release == jobs[b].release) {
+        session
+            .advance_to(jobs[released[0]].release)
+            .map_err(model_error)?;
+        batch.clear();
+        batch.extend(released.iter().map(|&k| (jobs[k].deadline, jobs[k].volume)));
+        session
+            .arrive_all(&batch, obs, plans.as_deref_mut())
+            .map_err(model_error)?;
     }
+    let (replans, flow_computations) = (session.replans(), session.flow_computations());
+    let mut schedule = session.finish().map_err(model_error)?;
+    for seg in &mut schedule.segments {
+        seg.job = order[seg.job];
+    }
+    for id in plans.into_iter().flatten().flat_map(|p| &mut p.job_map) {
+        *id = order[*id];
+    }
+    Ok(OaOutcome {
+        schedule,
+        replans,
+        flow_computations,
+    })
+}
 
-    debug_assert!(
-        (0..n).all(|k| T::close(remaining[k], T::zero(), instance.jobs[k].volume, 1e-6)),
-        "OA left unfinished work: {remaining:?}"
-    );
-    schedule.normalize();
-    Ok((
-        OaOutcome {
-            schedule,
-            replans,
-            flow_computations,
-        },
-        plans,
-    ))
+/// A replay announces validated jobs in release order, so its session can
+/// only fail the way the instance or the solver does.
+fn model_error(e: SessionError) -> ModelError {
+    match e {
+        SessionError::BadJob(e) | SessionError::Planning(e) => e,
+        other => unreachable!("OA replay drove its session out of order: {other}"),
+    }
 }
 
 #[cfg(test)]
@@ -423,27 +319,24 @@ mod tests {
     #[test]
     fn replans_are_configuration_invariant_and_every_run_is_competitive() {
         use mpss_obs::RecordingCollector;
-        use mpss_offline::{optimal_schedule_with, FlowEngine};
+        use mpss_offline::{optimal_schedule_with, OfflineOptions};
         // A plan's phases (speeds, job sets, reservations) are unique, so
-        // re-solving any replan's sub-instance under another engine, warmth
-        // or seeding reproduces them bit for bit. Its packing is not unique,
+        // re-solving any replan's sub-instance under another engine or
+        // warmth reproduces them bit for bit. Its packing is not unique,
         // and OA executes each plan only up to the next arrival, so whole
-        // runs under different configurations may leave different remaining
-        // volumes and end at different energies; each is still a feasible
-        // OA(m) schedule within α^α of the optimum.
+        // runs on different engines may leave different remaining volumes
+        // and end at different energies; each is still a feasible OA(m)
+        // schedule within α^α of the optimum.
         let configs = [
-            (FlowEngine::Dinic, true, false),
-            (FlowEngine::Dinic, false, false),
-            (FlowEngine::PushRelabel, false, false),
-            (FlowEngine::PushRelabel, true, true),
+            (FlowEngine::Dinic, true),
+            (FlowEngine::Dinic, false),
+            (FlowEngine::PushRelabel, false),
+            (FlowEngine::PushRelabel, true),
         ]
-        .map(|(engine, warm_start, reseed)| OaOptions {
-            offline: OfflineOptions {
-                engine,
-                warm_start,
-                ..Default::default()
-            },
-            reseed,
+        .map(|(engine, warm_start)| OfflineOptions {
+            engine,
+            warm_start,
+            ..Default::default()
         });
         let p = Polynomial::new(2.0);
         for seed in 300..312u64 {
@@ -452,7 +345,7 @@ mod tests {
             let e_opt = schedule_energy(&optimal_schedule(&ins).unwrap().schedule, &p);
             for opts in &configs {
                 for record in &plans {
-                    let again = optimal_schedule_with(&record.instance, &opts.offline).unwrap();
+                    let again = optimal_schedule_with(&record.instance, opts).unwrap();
                     let ctx = format!("seed {seed} t {} {opts:?}", record.time);
                     assert_eq!(
                         again.flow_computations, record.plan.flow_computations,
@@ -464,25 +357,29 @@ mod tests {
                         assert_eq!((&a.jobs, &a.procs, a.rounds), (&b.jobs, &b.procs, b.rounds));
                     }
                 }
-                let out = oa_schedule_with_options(&ins, opts).unwrap();
+            }
+            for engine in [FlowEngine::Dinic, FlowEngine::PushRelabel] {
+                let out = replay(&ins, engine, &mut NoopCollector, None).unwrap();
                 assert_feasible(&ins, &out.schedule, 1e-6);
                 let e = schedule_energy(&out.schedule, &p);
                 assert!(
                     e >= e_opt * (1.0 - 1e-9) && e <= p.oa_bound() * e_opt * (1.0 + 1e-9),
-                    "seed {seed} {opts:?}: energy {e} outside [OPT, α^α·OPT], OPT {e_opt}"
+                    "seed {seed} {engine:?}: energy {e} outside [OPT, α^α·OPT], OPT {e_opt}"
                 );
             }
         }
-        // Multi-arrival instance: the second replan gets a span seed.
+        // Multi-arrival instance: batch OA solves on the warm-start path.
+        // The greedy seed alone pushes flow, so this counter cannot tell a
+        // span-seeded replan from an unseeded one; the session test
+        // `replans_are_seeded_from_the_previous_plan` checks the seeding.
         let ins = Instance::new(
             1,
             vec![job(0.0, 4.0, 2.0), job(1.0, 4.0, 1.0), job(2.0, 4.0, 1.0)],
         )
         .unwrap();
         let mut rec = RecordingCollector::new();
-        oa_schedule_observed_with(&ins, &OaOptions::default(), &mut rec).unwrap();
-        assert!(rec.counter("oa.reseed.replans") >= 1);
-        assert!(rec.counter("oa.reseed.jobs") >= 1);
+        oa_schedule_observed(&ins, &mut rec).unwrap();
+        assert!(rec.counter("maxflow.warm.reused_flow") >= 1);
     }
 
     #[test]

@@ -1,20 +1,29 @@
 //! Incremental online scheduling session.
 //!
-//! [`oa_schedule`](crate::oa_schedule) replays a complete instance; this
-//! module exposes the same OA(m) logic as a *driveable* session for systems
-//! that discover jobs as they arrive: push arrivals with
-//! [`OaSession::arrive`], advance the clock with [`OaSession::advance_to`],
-//! and query the current plan at any moment. The executed history is
-//! append-only (audited by `mpss-sim`'s commit-monotonicity check in the
-//! tests), and the committed schedule equals the batch `oa_schedule` run on
-//! the same arrival sequence.
+//! [`OaSession`] runs OA(m) as a *driveable* session for systems that
+//! discover jobs as they arrive: push arrivals with [`OaSession::arrive`],
+//! advance the clock with [`OaSession::advance_to`], and query the current
+//! plan at any moment. The executed history is append-only (audited by
+//! `mpss-sim`'s commit-monotonicity check in the tests).
+//!
+//! The session is the only OA(m) replan loop in the workspace: the batch
+//! [`oa_schedule`](crate::oa_schedule) opens a session, advances it to each
+//! distinct release time and announces the jobs released there in one
+//! batch, so a batch run is the session driven with its instance's arrival
+//! sequence — in `f64` or in exact [`Rational`](mpss_numeric::Rational)
+//! arithmetic. Checkpoints, metrics and history compaction serve the
+//! `mpss-serve` daemon and exist for `OaSession<f64>` only.
 
 use crate::checkpoint::{CheckpointError, OaCheckpoint, PlanSnapshot, CHECKPOINT_VERSION};
+use crate::eps::job_is_live;
+use crate::oa::PlanRecord;
 use crate::session_metrics::SessionMetrics;
 use mpss_core::{Instance, Job, JobId, ModelError, Schedule, Segment};
+use mpss_numeric::FlowNum;
 use mpss_obs::{Collector, NoopCollector};
 use mpss_offline::optimal::{optimal_schedule_prepared, FlowEngine, OfflineOptions, SeedPlan};
 use mpss_offline::{IncrementalPlanner, IncrementalStats};
+use std::ops::Range;
 
 /// What one replan cost: the flight-recorder's view of a single planning
 /// event, as opposed to the session-lifetime aggregates
@@ -38,7 +47,8 @@ pub struct ReplanSummary {
     pub live_jobs: usize,
 }
 
-/// A live OA(m) scheduling session.
+/// A live OA(m) scheduling session, in `f64` (the default) or in exact
+/// [`Rational`](mpss_numeric::Rational) arithmetic.
 ///
 /// ```
 /// use mpss_online::OaSession;
@@ -51,18 +61,18 @@ pub struct ReplanSummary {
 /// let schedule = session.finish().unwrap();
 /// assert!(schedule.total_work() > 4.9);
 /// ```
-pub struct OaSession {
+pub struct OaSession<T: FlowNum = f64> {
     m: usize,
-    now: f64,
+    now: T,
     /// All jobs seen so far, in arrival order (the session's job ids).
-    jobs: Vec<Job<f64>>,
-    remaining: Vec<f64>,
+    jobs: Vec<Job<T>>,
+    remaining: Vec<T>,
     /// Committed (executed) history up to `now` (from the compaction
     /// watermark on, once [`compact_history`](OaSession::compact_history)
     /// has run).
-    executed: Schedule<f64>,
+    executed: Schedule<T>,
     /// The plan currently being followed (over session job ids).
-    plan: Option<PlanSnapshot>,
+    plan: Option<PlanSnapshot<T>>,
     /// The max-flow engine replans solve with (fixed per session: a
     /// checkpointed session must resume on the same engine to stay
     /// bit-identical).
@@ -73,15 +83,15 @@ pub struct OaSession {
     /// counters).
     flow_computations: usize,
     /// Everything executed strictly before this time was compacted away.
-    compaction_watermark: Option<f64>,
+    compaction_watermark: Option<T>,
     compacted_segments: usize,
-    compacted_work: f64,
+    compacted_work: T,
     metrics: Option<SessionMetrics>,
     /// Incremental derivation planner (lazily primed). Deliberately *not*
     /// checkpointed: `sync` is a pure function of the live set, so a
     /// restored session's first replan rebuilds it and every later replan
     /// is bit-identical to the uninterrupted session's.
-    planner: Option<IncrementalPlanner<f64>>,
+    planner: Option<IncrementalPlanner<T>>,
     /// Whether replans maintain the partition incrementally (default) or
     /// re-derive it from scratch (the original pipeline, kept as an oracle
     /// for the differential tests and benchmarks).
@@ -96,13 +106,12 @@ pub struct OaSession {
     last_replan: Option<ReplanSummary>,
 }
 
-/// Errors from driving a session.
+/// Errors from driving a session. Times are reported as `f64` whatever
+/// the session's number type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
     /// Time may not move backwards.
     TimeWentBackwards { now: f64, requested: f64 },
-    /// An arriving job's release time lies in the past.
-    LateArrival { now: f64, release: f64 },
     /// The arriving job is malformed (empty window / non-positive volume).
     BadJob(ModelError),
     /// Internal planning failure (defensive; unreachable for valid input).
@@ -121,12 +130,6 @@ impl std::fmt::Display for SessionError {
                     "cannot advance to {requested}: clock is already at {now}"
                 )
             }
-            SessionError::LateArrival { now, release } => {
-                write!(
-                    f,
-                    "job released at {release} arrived after the clock reached {now}"
-                )
-            }
             SessionError::BadJob(e) => write!(f, "bad job: {e}"),
             SessionError::Planning(e) => write!(f, "planning failed: {e}"),
             SessionError::Checkpoint(e) => write!(f, "{e}"),
@@ -136,17 +139,17 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-impl OaSession {
+impl<T: FlowNum> OaSession<T> {
     /// Opens a session on `m` processors with the clock at `start`,
     /// replanning on the default max-flow engine (Dinic).
-    pub fn new(m: usize, start: f64) -> OaSession {
+    pub fn new(m: usize, start: T) -> OaSession<T> {
         OaSession::with_engine(m, start, FlowEngine::default())
     }
 
     /// Opens a session replanning on a specific max-flow engine. The engine
     /// is fixed for the session's lifetime and recorded in checkpoints:
     /// bit-identical restore requires resuming on the same engine.
-    pub fn with_engine(m: usize, start: f64, engine: FlowEngine) -> OaSession {
+    pub fn with_engine(m: usize, start: T, engine: FlowEngine) -> OaSession<T> {
         assert!(m >= 1, "need at least one processor");
         OaSession {
             m,
@@ -160,7 +163,7 @@ impl OaSession {
             flow_computations: 0,
             compaction_watermark: None,
             compacted_segments: 0,
-            compacted_work: 0.0,
+            compacted_work: T::zero(),
             metrics: None,
             planner: None,
             incremental: true,
@@ -170,31 +173,23 @@ impl OaSession {
         }
     }
 
-    /// Attaches a live metrics bundle (see [`SessionMetrics::register`]).
-    /// From now on arrivals, replans (with wall-clock latency), and every
-    /// clock movement publish to the bundle's gauges; an unattached session
-    /// touches no metrics at all.
-    pub fn attach_metrics(&mut self, metrics: SessionMetrics) {
-        self.metrics = Some(metrics);
-        self.publish_metrics();
-    }
-
     fn publish_metrics(&self) {
         if let Some(metrics) = &self.metrics {
             let mut active = 0usize;
-            let mut queued = 0.0;
+            let mut queued = T::zero();
             for (k, job) in self.jobs.iter().enumerate() {
-                if crate::eps::job_is_live(self.remaining[k], job.volume) {
+                if job_is_live(self.remaining[k], job.volume) {
                     active += 1;
                     queued += self.remaining[k];
                 }
             }
-            metrics.publish(self.now, active, queued, &self.current_speeds());
+            let speeds: Vec<f64> = self.current_speeds().into_iter().map(T::to_f64).collect();
+            metrics.publish(self.now.to_f64(), active, queued.to_f64(), &speeds);
         }
     }
 
     /// Current clock.
-    pub fn now(&self) -> f64 {
+    pub fn now(&self) -> T {
         self.now
     }
 
@@ -258,7 +253,7 @@ impl OaSession {
     /// Error paths are metrics-neutral: a rejected arrival (bad job,
     /// planning failure) leaves the session — job list, replan counter,
     /// and every attached metric — exactly as it was.
-    pub fn arrive(&mut self, deadline: f64, volume: f64) -> Result<JobId, SessionError> {
+    pub fn arrive(&mut self, deadline: T, volume: T) -> Result<JobId, SessionError> {
         self.arrive_observed(deadline, volume, &mut NoopCollector)
     }
 
@@ -270,27 +265,57 @@ impl OaSession {
     /// (observed and unobserved arrivals are bit-identical).
     pub fn arrive_observed<C: Collector>(
         &mut self,
-        deadline: f64,
-        volume: f64,
+        deadline: T,
+        volume: T,
         obs: &mut C,
     ) -> Result<JobId, SessionError> {
-        let job = Job::new(self.now, deadline, volume);
-        // Validate via a throwaway instance.
-        Instance::new(self.m, vec![job]).map_err(SessionError::BadJob)?;
-        self.jobs.push(job);
-        self.remaining.push(volume);
-        obs.instant("oa.arrival");
-        if let Err(e) = self.replan(obs) {
-            // Unwind so the failed arrival leaves no trace (the replan
+        self.arrive_all(&[(deadline, volume)], obs, None)
+            .map(|ids| ids.start)
+    }
+
+    /// Announces every `(deadline, volume)` of `batch` as released now and
+    /// replans once; returns the session ids assigned, in batch order.
+    /// [`arrive`](OaSession::arrive) is its one-job case. All or nothing: a
+    /// malformed job or a failed replan leaves the session and its metrics
+    /// exactly as they were.
+    ///
+    /// With `plans`, the replan's sub-instance and full offline result are
+    /// appended to it (over session ids) — only
+    /// [`oa_schedule_with_plans`](crate::oa_schedule_with_plans) asks;
+    /// without, nothing beyond the followed plan is kept.
+    pub(crate) fn arrive_all<C: Collector>(
+        &mut self,
+        batch: &[(T, T)],
+        obs: &mut C,
+        plans: Option<&mut Vec<PlanRecord<T>>>,
+    ) -> Result<Range<JobId>, SessionError> {
+        let jobs = batch
+            .iter()
+            .map(|&(deadline, volume)| Job::new(self.now, deadline, volume))
+            .collect();
+        let arrived = Instance::new(self.m, jobs).map_err(SessionError::BadJob)?;
+        let ids = self.jobs.len()..self.jobs.len() + batch.len();
+        for job in arrived.jobs {
+            self.jobs.push(job);
+            self.remaining.push(job.volume);
+            obs.instant("oa.arrival");
+        }
+        obs.span_start("oa.replan");
+        let replanned = self.replan(obs, plans);
+        obs.span_end("oa.replan");
+        if let Err(e) = replanned {
+            // Unwind so the failed arrivals leave no trace (the replan
             // itself touched no state or metrics on its error path).
-            self.jobs.pop();
-            self.remaining.pop();
+            self.jobs.truncate(ids.start);
+            self.remaining.truncate(ids.start);
             return Err(e);
         }
         if let Some(metrics) = &self.metrics {
-            metrics.on_arrival();
+            for _ in ids.clone() {
+                metrics.on_arrival();
+            }
         }
-        Ok(self.jobs.len() - 1)
+        Ok(ids)
     }
 
     /// The most recent replan's cost summary (`None` before the first
@@ -308,11 +333,11 @@ impl OaSession {
 
     /// Advances the clock to `t`, executing the current plan over
     /// `[now, t)` and committing it to history.
-    pub fn advance_to(&mut self, t: f64) -> Result<(), SessionError> {
+    pub fn advance_to(&mut self, t: T) -> Result<(), SessionError> {
         if t < self.now {
             return Err(SessionError::TimeWentBackwards {
-                now: self.now,
-                requested: t,
+                now: self.now.to_f64(),
+                requested: t.to_f64(),
             });
         }
         if let Some(plan) = &self.plan {
@@ -329,24 +354,24 @@ impl OaSession {
     }
 
     /// The speed each processor is running at right now (0 = idle).
-    pub fn current_speeds(&self) -> Vec<f64> {
+    pub fn current_speeds(&self) -> Vec<T> {
         match &self.plan {
             Some(plan) => (0..self.m)
                 .map(|p| plan.schedule.speed_at(p, self.now))
                 .collect(),
-            None => vec![0.0; self.m],
+            None => vec![T::zero(); self.m],
         }
     }
 
     /// The planned speed of a session job (None once finished or unknown).
-    pub fn planned_speed(&self, job: JobId) -> Option<f64> {
+    pub fn planned_speed(&self, job: JobId) -> Option<T> {
         let plan = self.plan.as_ref()?;
         let sub = plan.job_map.iter().position(|&o| o == job)?;
         plan.speeds.get(sub).copied().flatten()
     }
 
     /// Remaining volume of a session job.
-    pub fn remaining_volume(&self, job: JobId) -> Option<f64> {
+    pub fn remaining_volume(&self, job: JobId) -> Option<T> {
         self.remaining.get(job).copied()
     }
 
@@ -354,20 +379,24 @@ impl OaSession {
     /// [`now`](OaSession::now). Append-only across the session's lifetime,
     /// except that [`compact_history`](OaSession::compact_history) may drop
     /// segments from the front (before the compaction watermark).
-    pub fn executed(&self) -> &Schedule<f64> {
+    pub fn executed(&self) -> &Schedule<T> {
         &self.executed
     }
 
     /// Runs the session to completion (the latest deadline) and returns the
     /// full executed schedule (from the compaction watermark on, if
     /// [`compact_history`](OaSession::compact_history) has run).
-    pub fn finish(mut self) -> Result<Schedule<f64>, SessionError> {
-        let horizon = self
-            .jobs
-            .iter()
-            .map(|j| j.deadline)
-            .fold(self.now, f64::max);
+    pub fn finish(mut self) -> Result<Schedule<T>, SessionError> {
+        let horizon = self.jobs.iter().map(|j| j.deadline).fold(self.now, T::max2);
         self.advance_to(horizon)?;
+        debug_assert!(
+            self.jobs
+                .iter()
+                .zip(&self.remaining)
+                .all(|(job, &left)| T::close(left, T::zero(), job.volume, 1e-6)),
+            "OA left unfinished work: {:?}",
+            self.remaining
+        );
         let mut schedule = self.executed;
         schedule.normalize();
         Ok(schedule)
@@ -378,7 +407,7 @@ impl OaSession {
     /// only: a seeded solve has the same phases as a cold one (the seed is
     /// clipped to capacities and re-augmented to maximality), but its
     /// packing, and so the history the session executes, may differ.
-    fn span_seed(&self, job_map: &[JobId]) -> Option<SeedPlan<f64>> {
+    fn span_seed(&self, job_map: &[JobId]) -> Option<SeedPlan<T>> {
         let plan = self.plan.as_ref()?;
         // One pass over the old plan's segments: map each segment's job back
         // to its position in the *new* sub-instance (if still live) instead
@@ -387,33 +416,30 @@ impl OaSession {
         for (i, &orig) in job_map.iter().enumerate() {
             new_pos[orig] = i;
         }
-        let mut spans: Vec<Vec<(f64, f64)>> = vec![Vec::new(); job_map.len()];
+        let mut spans: Vec<Vec<(T, T)>> = vec![Vec::new(); job_map.len()];
         let mut any = false;
         for seg in &plan.schedule.segments {
             let i = new_pos[plan.job_map[seg.job]];
             if i != usize::MAX && seg.end > self.now {
-                spans[i].push((seg.start.max(self.now), seg.end));
+                spans[i].push((seg.start.max2(self.now), seg.end));
                 any = true;
             }
         }
         any.then_some(SeedPlan { spans })
     }
 
-    fn replan<C: Collector>(&mut self, obs: &mut C) -> Result<(), SessionError> {
-        obs.span_start("oa.replan");
-        let out = self.replan_body(obs);
-        obs.span_end("oa.replan");
-        out
-    }
-
-    fn replan_body<C: Collector>(&mut self, obs: &mut C) -> Result<(), SessionError> {
+    fn replan<C: Collector>(
+        &mut self,
+        obs: &mut C,
+        plans: Option<&mut Vec<PlanRecord<T>>>,
+    ) -> Result<(), SessionError> {
         // Always timed: the flight recorder wants every replan's latency,
         // and one monotonic-clock read is noise next to a solve.
         let started = std::time::Instant::now();
         let mut job_map = Vec::new();
         let mut sub_jobs = Vec::new();
         for (k, job) in self.jobs.iter().enumerate() {
-            if crate::eps::job_is_live(self.remaining[k], job.volume) {
+            if job_is_live(self.remaining[k], job.volume) {
                 job_map.push(k);
                 sub_jobs.push(Job::new(self.now, job.deadline, self.remaining[k]));
             }
@@ -439,12 +465,12 @@ impl OaSession {
             // `job_map` ascends, so (session id, deadline) is a valid
             // planner live set; sub-instance job `i` is `job_map[i]`.
             let sync = if self.incremental {
-                let live: Vec<(usize, f64)> = job_map
+                let live: Vec<(usize, T)> = job_map
                     .iter()
                     .map(|&k| (k, self.jobs[k].deadline))
                     .collect();
                 let planner = self.planner.get_or_insert_with(IncrementalPlanner::new);
-                Some(planner.sync(self.now, &live))
+                Some(planner.sync_observed(self.now, &live, obs))
             } else {
                 None
             };
@@ -465,6 +491,14 @@ impl OaSession {
                 self.incremental_stats.absorb(stats);
             }
             let speeds = (0..job_map.len()).map(|k| result.speed_of(k)).collect();
+            if let Some(plans) = plans {
+                plans.push(PlanRecord {
+                    time: self.now,
+                    job_map: job_map.clone(),
+                    instance: sub,
+                    plan: result.clone(),
+                });
+            }
             Some(PlanSnapshot {
                 job_map,
                 schedule: result.schedule,
@@ -473,6 +507,8 @@ impl OaSession {
         };
         self.plan = new_plan;
         self.replans += 1;
+        obs.count("oa.replans", 1);
+        obs.count("oa.maxflow.invocations", summary.flow_computations);
         summary.latency_s = started.elapsed().as_secs_f64();
         self.last_replan = Some(summary);
         if let Some(metrics) = &self.metrics {
@@ -480,6 +516,17 @@ impl OaSession {
         }
         self.publish_metrics();
         Ok(())
+    }
+}
+
+impl OaSession {
+    /// Attaches a live metrics bundle (see [`SessionMetrics::register`]).
+    /// From now on arrivals, replans (with wall-clock latency), and every
+    /// clock movement publish to the bundle's gauges; an unattached session
+    /// touches no metrics at all.
+    pub fn attach_metrics(&mut self, metrics: SessionMetrics) {
+        self.metrics = Some(metrics);
+        self.publish_metrics();
     }
 
     /// Drops executed history strictly before `watermark` (clamped to
@@ -591,36 +638,74 @@ impl OaSession {
 mod tests {
     use super::*;
     use crate::oa::oa_schedule;
-    use mpss_core::energy::schedule_energy;
     use mpss_core::job::job;
-    use mpss_core::power::Polynomial;
     use mpss_core::validate::assert_feasible;
 
     #[test]
     fn session_replays_batch_oa_exactly() {
-        // Batch instance with two arrival times.
+        // Jobs listed out of release order: the batch run announces jobs 1
+        // and 2 together at t = 0 and job 0 at t = 1, so session ids
+        // 0, 1, 2 are instance jobs 1, 2, 0.
         let ins = Instance::new(
             2,
-            vec![job(0.0, 4.0, 3.0), job(0.0, 2.0, 2.0), job(1.0, 3.0, 2.0)],
+            vec![job(1.0, 3.0, 2.0), job(0.0, 4.0, 3.0), job(0.0, 2.0, 2.0)],
         )
         .unwrap();
         let batch = oa_schedule(&ins).unwrap();
 
         let mut session = OaSession::new(2, 0.0);
-        session.arrive(4.0, 3.0).unwrap();
-        session.arrive(2.0, 2.0).unwrap();
+        let ids = session
+            .arrive_all(&[(4.0, 3.0), (2.0, 2.0)], &mut NoopCollector, None)
+            .unwrap();
+        assert_eq!(ids, 0..2);
         session.advance_to(1.0).unwrap();
-        session.arrive(3.0, 2.0).unwrap();
-        let sched = session.finish().unwrap();
-
+        assert_eq!(session.arrive(3.0, 2.0).unwrap(), 2);
+        assert_eq!(session.replans(), batch.replans);
+        assert_eq!(session.flow_computations(), batch.flow_computations);
+        let mut sched = session.finish().unwrap();
+        let instance_id = [1, 2, 0];
+        for seg in &mut sched.segments {
+            seg.job = instance_id[seg.job];
+        }
         assert_feasible(&ins, &sched, 1e-6);
-        let p = Polynomial::new(2.0);
-        let e_batch = schedule_energy(&batch.schedule, &p);
-        let e_session = schedule_energy(&sched, &p);
-        assert!(
-            (e_batch - e_session).abs() <= 1e-9 * e_batch.max(1.0),
-            "batch {e_batch} vs session {e_session}"
+        assert_eq!(sched.segments, batch.schedule.segments);
+    }
+
+    #[test]
+    fn replans_are_seeded_from_the_previous_plan() {
+        use mpss_obs::RecordingCollector;
+        let mut session = OaSession::new(1, 0.0);
+        session
+            .arrive_all(&[(4.0, 2.0), (3.0, 1.0)], &mut NoopCollector, None)
+            .unwrap();
+        session.advance_to(1.0).unwrap();
+        // Both jobs still have planned time after t = 1, clipped to now.
+        let mut seed = session.span_seed(&[0, 1]).expect("survivors' spans");
+        assert!(seed
+            .spans
+            .iter()
+            .all(|spans| !spans.is_empty() && spans.iter().all(|&(a, b)| 1.0 <= a && a < b)));
+        // The arriving job has no past plan.
+        seed.spans.push(Vec::new());
+        let mut rec = RecordingCollector::new();
+        let mut plans = Vec::new();
+        session
+            .arrive_all(&[(2.0, 1.0)], &mut rec, Some(&mut plans))
+            .unwrap();
+        assert_eq!(plans[0].job_map, [0, 1, 2]);
+        // The replan did the seeded solve's Dinic work, which on this
+        // instance differs from an unseeded solve's.
+        let augmenting_paths = |seed: Option<&SeedPlan<f64>>| {
+            let mut solve = RecordingCollector::new();
+            let opts = OfflineOptions::default();
+            optimal_schedule_prepared(&plans[0].instance, &opts, seed, None, &mut solve).unwrap();
+            solve.counter("maxflow.dinic.augmenting_paths")
+        };
+        assert_eq!(
+            rec.counter("maxflow.dinic.augmenting_paths"),
+            augmenting_paths(Some(&seed))
         );
+        assert_ne!(augmenting_paths(Some(&seed)), augmenting_paths(None));
     }
 
     #[test]
@@ -754,7 +839,13 @@ mod tests {
             session.arrive(5.0, -3.0),
             Err(SessionError::BadJob(_))
         ));
+        // One bad job sinks its whole batch, the good job included.
+        assert!(matches!(
+            session.arrive_all(&[(3.0, 1.0), (1.0, 1.0)], &mut NoopCollector, None),
+            Err(SessionError::BadJob(_))
+        ));
 
+        assert_eq!(session.job_count(), 1);
         assert_eq!(session.replans(), replans_before);
         assert_eq!(session.flow_computations(), flows_before);
         let value = |name: &str| {

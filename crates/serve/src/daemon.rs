@@ -303,7 +303,7 @@ impl Session {
 fn session_error(e: SessionError) -> (ErrorKind, String) {
     let kind = match &e {
         SessionError::TimeWentBackwards { .. } => ErrorKind::TimeWentBackwards,
-        SessionError::LateArrival { .. } | SessionError::BadJob(_) => ErrorKind::BadJob,
+        SessionError::BadJob(_) => ErrorKind::BadJob,
         SessionError::Planning(_) => ErrorKind::Planning,
         SessionError::Checkpoint(_) => ErrorKind::BadCheckpoint,
     };

@@ -4,7 +4,7 @@
 //! mpss-cli generate --family uniform --n 20 --m 4 [--horizon 48] [--seed 1] -o trace.json
 //! mpss-cli solve trace.json [--alpha 3] [--gantt] [--cold-flow] [--save-schedule out.json] [--report out.json]
 //! mpss-cli solve-batch --dir traces/ [--alpha 3] [--threads N] [--report-dir reports/]
-//! mpss-cli online trace.json --algo oa|avr|bkp [--alpha 3] [--cold-flow] [--threads N] [--report out.json]
+//! mpss-cli online trace.json --algo oa|avr|bkp [--alpha 3] [--threads N] [--report out.json]
 //! mpss-cli bounds trace.json [--alpha 3]
 //! mpss-cli check trace.json schedule.json
 //! mpss-cli report-diff a.report.json b.report.json [--max-regress 5] [--only offline.] [--gate-wall]
@@ -25,10 +25,11 @@
 //! `chrome://tracing` to see per-worker tracks on one time axis.
 //! `--flame <path>` writes the same trace as collapsed stacks
 //! (`track;outer;inner weight_ns` lines) for flamegraph tooling.
-//! `--cold-flow` disables the warm-start max-flow
-//! path (and OA replan reseeding), running every repair round from a freshly
+//! `--cold-flow` (`solve`, `solve-batch`) disables the
+//! warm-start max-flow path, running every repair round from a freshly
 //! built network — the differential oracle the warm path is validated
-//! against.
+//! against. Each subcommand accepts only the options its usage line names:
+//! an unknown `--option` is an error, never a silently swallowed value.
 //!
 //! `report-diff` compares two run reports counter by counter and exits
 //! non-zero when any gated counter increased by more than `--max-regress`
@@ -56,10 +57,12 @@
 //! the embedded checkpoint through a fresh session to prove the tenant's
 //! plan is reproduced bit-identically.
 //!
-//! Parallelism: `--threads N` sizes the worker pool explicitly; without it
-//! the `MPSS_THREADS` environment variable, then the machine's available
-//! parallelism, decide. The effective count is recorded in every `--report`
-//! as the `par.pool.threads` counter.
+//! Parallelism: `--threads N` sizes the worker pool of `solve-batch`,
+//! `online --algo avr` and `serve` explicitly; without it the
+//! `MPSS_THREADS` environment variable, then the machine's available
+//! parallelism, decide. The pool reports its effective size itself, as the
+//! `par.pool.threads` counter, so a `--report` carries it exactly when the
+//! run fanned out over the pool (`online --algo avr`).
 
 use mpss::prelude::*;
 use mpss::sim::{fleet_stats, job_stats, render_gantt, render_svg, SvgOptions};
@@ -104,9 +107,9 @@ fn print_usage() {
         "mpss-cli — multi-processor speed scaling with migration (SPAA 2011)\n\n\
          USAGE:\n\
          \u{20}  mpss-cli generate --family <name> --n <jobs> --m <procs> [--horizon H] [--seed S] -o <trace.json>\n\
-         \u{20}  mpss-cli solve <trace.json> [--alpha A] [--gantt] [--cold-flow] [--save-schedule <out.json>] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
-         \u{20}  mpss-cli solve-batch --dir <traces/> [--alpha A] [--threads N] [--cold-flow] [--report-dir <reports/>] [--trace <out.trace.json>]\n\
-         \u{20}  mpss-cli online <trace.json> --algo <oa|avr|bkp> [--alpha A] [--cold-flow] [--threads N] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
+         \u{20}  mpss-cli solve <trace.json> [--alpha A] [--gantt] [--cold-flow] [--save-schedule <out.json>] [--svg <out.svg>] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
+         \u{20}  mpss-cli solve-batch --dir <traces/> [--alpha A] [--threads N] [--cold-flow] [--report-dir <reports/>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
+         \u{20}  mpss-cli online <trace.json> --algo <oa|avr|bkp> [--alpha A] [--threads N] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
          \u{20}  mpss-cli bounds <trace.json> [--alpha A]\n\
          \u{20}  mpss-cli stats <trace.json> [--alpha A]\n\
          \u{20}  mpss-cli check <trace.json> <schedule.json>\n\
@@ -121,42 +124,45 @@ fn print_usage() {
     );
 }
 
-/// Tiny flag parser: `--key value` pairs plus positional arguments.
+/// Tiny flag parser: `--key value` pairs, bare `--switch`es and positional
+/// arguments.
 struct Args<'a> {
     positional: Vec<&'a str>,
     flags: Vec<(&'a str, &'a str)>,
     switches: Vec<&'a str>,
 }
 
-fn parse<'a>(args: &'a [String], switch_names: &[&str]) -> Args<'a> {
+/// Parses a subcommand's arguments against the options it declares, as
+/// space-separated names: `flag_names` take a value (`-o` is the `o`
+/// flag), `switch_names` stand alone. Any other `--option`, or a flag with
+/// no value, is an error.
+fn parse<'a>(args: &'a [String], flag_names: &str, switch_names: &str) -> Result<Args<'a>, String> {
+    let declared = |names: &str, name: &str| names.split_whitespace().any(|n| n == name);
     let mut out = Args {
         positional: Vec::new(),
         flags: Vec::new(),
         switches: Vec::new(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if let Some(name) = a.strip_prefix("--") {
-            if switch_names.contains(&name) {
-                out.switches.push(name);
-                i += 1;
-            } else if i + 1 < args.len() {
-                out.flags.push((name, args[i + 1].as_str()));
-                i += 2;
-            } else {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        let name = match a.strip_prefix("--") {
+            Some(name) => name,
+            None if a == "-o" && declared(flag_names, "o") => "o",
+            None => {
                 out.positional.push(a);
-                i += 1;
+                continue;
             }
-        } else if a == "-o" && i + 1 < args.len() {
-            out.flags.push(("o", args[i + 1].as_str()));
-            i += 2;
+        };
+        if declared(switch_names, name) {
+            out.switches.push(name);
+        } else if declared(flag_names, name) {
+            let value = rest.next().ok_or_else(|| format!("`{a}` needs a value"))?;
+            out.flags.push((name, value));
         } else {
-            out.positional.push(a);
-            i += 1;
+            return Err(format!("unknown option `{a}` (try --help)"));
         }
     }
-    out
+    Ok(out)
 }
 
 impl Args<'_> {
@@ -215,7 +221,7 @@ fn write_trace_outputs(a: &Args<'_>, trace: &TraceCollector) -> Result<(), Strin
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(args, "family n m horizon seed o", "")?;
     let family = family_by_name(a.flag("family").ok_or("--family required")?)?;
     let n: usize = a
         .flag("n")
@@ -258,7 +264,11 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["gantt", "cold-flow"]);
+    let a = parse(
+        args,
+        "alpha save-schedule svg report trace flame",
+        "gantt cold-flow",
+    )?;
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
@@ -268,10 +278,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         ..Default::default()
     };
     let mut rec = RecordingCollector::new();
-    rec.count(
-        "par.pool.threads",
-        ThreadPool::with_threads(a.threads()?).threads() as u64,
-    );
     let mut trace = TraceCollector::new("main");
     let observing =
         a.flag("report").is_some() || a.flag("trace").is_some() || a.flag("flame").is_some();
@@ -337,7 +343,11 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["cold-flow"]);
+    let a = parse(
+        args,
+        "dir alpha threads report-dir trace flame",
+        "cold-flow",
+    )?;
     let dir = a
         .flag("dir")
         .or_else(|| a.positional.first().copied())
@@ -424,23 +434,13 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_online(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["cold-flow"]);
+    let a = parse(args, "algo alpha threads report trace flame", "")?;
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
     let p = Polynomial::new(alpha);
     let algo = a.flag("algo").ok_or("--algo oa|avr|bkp required")?;
-    let warm = !a.switches.contains(&"cold-flow");
-    let pool = ThreadPool::with_threads(a.threads()?);
-    let oa_opts = OaOptions {
-        offline: OfflineOptions {
-            warm_start: warm,
-            ..Default::default()
-        },
-        reseed: warm,
-    };
     let mut rec = RecordingCollector::new();
-    rec.count("par.pool.threads", pool.threads() as u64);
     let mut trace = TraceCollector::new("main");
     let observing =
         a.flag("report").is_some() || a.flag("trace").is_some() || a.flag("flame").is_some();
@@ -448,14 +448,15 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         "oa" => {
             let oa = if observing {
                 let mut tee = Tee(&mut rec, &mut trace);
-                oa_schedule_observed_with(&instance, &oa_opts, &mut tee)
+                oa_schedule_observed(&instance, &mut tee)
             } else {
-                oa_schedule_with_options(&instance, &oa_opts)
+                oa_schedule(&instance)
             }
             .map_err(|e| e.to_string())?;
             (oa.schedule, p.oa_bound(), "OA(m)")
         }
         "avr" => {
+            let pool = ThreadPool::with_threads(a.threads()?);
             let avr = if observing {
                 let mut tee = Tee(&mut rec, &mut trace);
                 avr_schedule_parallel_observed(&instance, &pool, &mut tee)
@@ -509,7 +510,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bounds(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(args, "alpha", "")?;
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
@@ -538,7 +539,7 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(args, "alpha", "")?;
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
@@ -572,7 +573,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_report_diff(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &["gate-wall", "bench"]);
+    let a = parse(args, "max-regress only name", "gate-wall bench")?;
     let opts = DiffOptions {
         max_regress_pct: a
             .flag("max-regress")
@@ -617,7 +618,7 @@ fn cmd_report_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace_check(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(args, "", "")?;
     let path = a.positional.first().ok_or("trace path required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let check = validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -671,7 +672,11 @@ fn print_metrics_table(hub: &mpss::obs::MetricsHub) {
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(
+        args,
+        "algo alpha loops pace-ms interval-ms listen hold-ms metrics-out",
+        "",
+    )?;
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let algo = a.flag("algo").unwrap_or("oa");
@@ -786,7 +791,11 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 /// socket with `--listen`; `--metrics` additionally exposes the shared hub
 /// as Prometheus text exposition.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(
+        args,
+        "listen metrics compact-window threads log-level flight-capacity postmortem-dir slow-replan-ms",
+        "",
+    )?;
     let compact_window = match a.flag("compact-window") {
         Some(w) => {
             let w: f64 = w.parse().map_err(|_| "bad --compact-window")?;
@@ -863,7 +872,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scrape(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(args, "out", "")?;
     let addr = a.positional.first().ok_or("endpoint HOST:PORT required")?;
     let text = http_get(addr, "/metrics")?;
     let expo =
@@ -899,7 +908,7 @@ fn cmd_postmortem(args: &[String]) -> Result<(), String> {
     use mpss::obs::json::Json;
     use mpss::serve::protocol::Request;
 
-    let a = parse(args, &[]);
+    let a = parse(args, "baseline", "")?;
     let bundle = Path::new(a.positional.first().ok_or("bundle directory required")?);
     let manifest = mpss::serve::postmortem::read_manifest(bundle)?;
     let text = |key: &str| -> String {
@@ -1067,7 +1076,7 @@ fn cmd_postmortem(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let a = parse(args, &[]);
+    let a = parse(args, "", "")?;
     let trace = a.positional.first().ok_or("trace path required")?;
     let sched_path = a.positional.get(1).ok_or("schedule path required")?;
     let instance = load(trace)?;

@@ -83,9 +83,8 @@ pub mod prelude {
     pub use mpss_online::{
         audit_oa_potential, avr_proof_terms, avr_schedule, avr_schedule_observed,
         avr_schedule_parallel, avr_schedule_parallel_observed, bkp_schedule, competitive_report,
-        competitive_report_observed, oa_schedule, oa_schedule_observed, oa_schedule_observed_with,
-        oa_schedule_with_options, record_energy_trajectory, AvrCheckpoint, AvrSession,
-        OaCheckpoint, OaOptions, OaSession, SessionError, SessionMetrics,
+        competitive_report_observed, oa_schedule, oa_schedule_observed, record_energy_trajectory,
+        AvrCheckpoint, AvrSession, OaCheckpoint, OaSession, SessionError, SessionMetrics,
     };
     pub use mpss_par::ThreadPool;
     pub use mpss_serve::{serve_tcp, Daemon, DaemonConfig};

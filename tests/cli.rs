@@ -4,7 +4,7 @@
 use mpss::model::json::arr;
 use mpss::obs::json::Json;
 use mpss::prelude::Schedule;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn cli() -> Command {
@@ -25,6 +25,28 @@ fn count(doc: &Json, path: &[&str]) -> u64 {
     }
 }
 
+/// `mpss-cli generate` into `trace`: `n` jobs of `family` on `m`
+/// processors over `horizon`, from `seed`. Returns its stdout.
+fn generate(trace: &Path, family: &str, n: u32, m: u32, horizon: u32, seed: u32) -> String {
+    let mut cmd = cli();
+    cmd.args([
+        "generate",
+        "--family",
+        family,
+        "-o",
+        trace.to_str().unwrap(),
+    ]);
+    for (flag, value) in [
+        ("--n", n),
+        ("--m", m),
+        ("--horizon", horizon),
+        ("--seed", seed),
+    ] {
+        cmd.args([flag, &value.to_string()]);
+    }
+    run_ok(&mut cmd)
+}
+
 fn run_ok(cmd: &mut Command) -> String {
     let out = cmd.output().expect("spawn mpss-cli");
     assert!(
@@ -41,21 +63,7 @@ fn generate_solve_online_bounds_roundtrip() {
     let trace = tmp("roundtrip.json");
     let sched = tmp("roundtrip-schedule.json");
 
-    let out = run_ok(cli().args([
-        "generate",
-        "--family",
-        "uniform",
-        "--n",
-        "8",
-        "--m",
-        "2",
-        "--horizon",
-        "16",
-        "--seed",
-        "7",
-        "-o",
-        trace.to_str().unwrap(),
-    ]));
+    let out = generate(&trace, "uniform", 8, 2, 16, 7);
     assert!(out.contains("8 jobs on 2 processors"));
 
     let out = run_ok(cli().args([
@@ -94,21 +102,7 @@ fn generate_solve_online_bounds_roundtrip() {
 #[test]
 fn solve_and_online_write_observability_reports() {
     let trace = tmp("report-trace.json");
-    run_ok(cli().args([
-        "generate",
-        "--family",
-        "uniform",
-        "--n",
-        "8",
-        "--m",
-        "2",
-        "--horizon",
-        "16",
-        "--seed",
-        "11",
-        "-o",
-        trace.to_str().unwrap(),
-    ]));
+    generate(&trace, "uniform", 8, 2, 16, 11);
 
     // solve --report: per-phase spans + max-flow work counters.
     let report = tmp("solve-report.json");
@@ -164,46 +158,76 @@ fn solve_and_online_write_observability_reports() {
         replans
     );
     assert!(count(&doc, &["histograms", "driver.energy_trajectory", "count"]) >= 1);
+    // Batch OA drives the daemon's session, so its incremental planner
+    // reports into the same collector.
+    assert!(count(&doc, &["counters", "offline.incremental.patched_arcs"]) >= 1);
+    // OA never touches the worker pool, so it reports no pool size.
+    assert_eq!(doc.get("counters").unwrap().get("par.pool.threads"), None);
+
+    // online --algo avr --threads 3: the pool reports its own size, once.
+    let avr_report = tmp("avr-report.json");
+    run_ok(cli().args([
+        "online",
+        trace.to_str().unwrap(),
+        "--algo",
+        "avr",
+        "--threads",
+        "3",
+        "--report",
+        avr_report.to_str().unwrap(),
+    ]));
+    let doc = Json::parse(&std::fs::read_to_string(&avr_report).unwrap()).unwrap();
+    assert_eq!(count(&doc, &["counters", "par.pool.threads"]), 3);
+}
+
+#[test]
+fn unknown_options_are_rejected_by_name() {
+    let trace = tmp("options-trace.json");
+    generate(&trace, "uniform", 4, 2, 10, 5);
+    let report = tmp("options-report.json");
+    let _ = std::fs::remove_file(&report);
+    let rejected = |args: &[&str], option: &str| {
+        let out = cli().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(stderr.contains(option), "{args:?}: {stderr}");
+    };
+    // A removed switch must not swallow the option after it.
+    rejected(
+        &[
+            "solve",
+            trace.to_str().unwrap(),
+            "--race",
+            "--report",
+            report.to_str().unwrap(),
+        ],
+        "--race",
+    );
+    assert!(!report.exists(), "a rejected run wrote its report");
+    rejected(
+        &[
+            "online",
+            trace.to_str().unwrap(),
+            "--algo",
+            "oa",
+            "--cold-flow",
+        ],
+        "--cold-flow",
+    );
+    // A declared flag still needs its value.
+    rejected(&["solve", trace.to_str().unwrap(), "--report"], "--report");
 }
 
 #[test]
 fn bkp_requires_single_processor_traces() {
     let trace = tmp("bkp-m1.json");
-    run_ok(cli().args([
-        "generate",
-        "--family",
-        "bursty",
-        "--n",
-        "5",
-        "--m",
-        "1",
-        "--horizon",
-        "12",
-        "--seed",
-        "2",
-        "-o",
-        trace.to_str().unwrap(),
-    ]));
+    generate(&trace, "bursty", 5, 1, 12, 2);
     let out = run_ok(cli().args(["online", trace.to_str().unwrap(), "--algo", "bkp"]));
     assert!(out.contains("BKP"));
 
     // And an m = 2 trace is rejected with a clear error.
     let trace_m2 = tmp("bkp-m2.json");
-    run_ok(cli().args([
-        "generate",
-        "--family",
-        "bursty",
-        "--n",
-        "5",
-        "--m",
-        "2",
-        "--horizon",
-        "12",
-        "--seed",
-        "2",
-        "-o",
-        trace_m2.to_str().unwrap(),
-    ]));
+    generate(&trace_m2, "bursty", 5, 2, 12, 2);
     let out = cli()
         .args(["online", trace_m2.to_str().unwrap(), "--algo", "bkp"])
         .output()
@@ -216,21 +240,7 @@ fn bkp_requires_single_processor_traces() {
 fn corrupted_schedule_fails_check() {
     let trace = tmp("corrupt.json");
     let sched = tmp("corrupt-schedule.json");
-    run_ok(cli().args([
-        "generate",
-        "--family",
-        "uniform",
-        "--n",
-        "4",
-        "--m",
-        "1",
-        "--horizon",
-        "10",
-        "--seed",
-        "3",
-        "-o",
-        trace.to_str().unwrap(),
-    ]));
+    generate(&trace, "uniform", 4, 1, 10, 3);
     run_ok(cli().args([
         "solve",
         trace.to_str().unwrap(),
@@ -283,21 +293,7 @@ fn usage_and_unknown_commands() {
 fn stats_and_svg_outputs() {
     let trace = tmp("stats.json");
     let svg = tmp("stats.svg");
-    run_ok(cli().args([
-        "generate",
-        "--family",
-        "poisson",
-        "--n",
-        "6",
-        "--m",
-        "2",
-        "--horizon",
-        "14",
-        "--seed",
-        "1",
-        "-o",
-        trace.to_str().unwrap(),
-    ]));
+    generate(&trace, "poisson", 6, 2, 14, 1);
     let out = run_ok(cli().args(["stats", trace.to_str().unwrap(), "--alpha", "2"]));
     assert!(out.contains("load factor"));
     assert!(out.contains("migrating jobs"));
