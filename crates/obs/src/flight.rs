@@ -60,7 +60,7 @@ pub enum FlightEventKind {
         work_ops: u64,
         /// Network arcs patched incrementally (0 for from-scratch solves).
         patched_arcs: u64,
-        /// The engine that produced the plan, e.g. `"dinic"` or `"avr"`.
+        /// The engine that produced the plan, `"dinic"` or `"push-relabel"`.
         engine: &'static str,
     },
     /// Something failed.

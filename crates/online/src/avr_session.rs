@@ -3,14 +3,14 @@
 //! AVR's decisions are *memoryless*: at any instant the processor speeds
 //! depend only on the currently active jobs' densities (Fig. 3 is evaluated
 //! interval by interval). That makes the session form particularly simple —
-//! no replanning state, just the active set — and it makes AVR attractive
-//! for controllers that cannot afford OA's optimal replans.
+//! no replanning state, just the jobs in its [`SessionCore`] — and it makes
+//! AVR attractive for controllers that cannot afford OA's optimal replans.
 
 use crate::avr::avr_schedule;
-use crate::checkpoint::{AvrCheckpoint, CheckpointError, CHECKPOINT_VERSION};
-use crate::session::ReplanSummary;
+use crate::checkpoint::AvrCheckpoint;
+use crate::session_core::{SessionCore, SessionError};
 use crate::session_metrics::SessionMetrics;
-use mpss_core::{Instance, Job, JobId, ModelError, Schedule, Segment};
+use mpss_core::{Instance, Job, JobId, Schedule};
 
 /// A live AVR(m) scheduling session.
 ///
@@ -26,15 +26,8 @@ use mpss_core::{Instance, Job, JobId, ModelError, Schedule, Segment};
 /// assert!((schedule.total_work() - 6.0).abs() < 1e-9);
 /// ```
 pub struct AvrSession {
-    m: usize,
-    now: f64,
-    jobs: Vec<Job<f64>>,
-    executed: Schedule<f64>,
-    /// Everything executed strictly before this time was compacted away.
-    compaction_watermark: Option<f64>,
-    compacted_segments: usize,
-    compacted_work: f64,
-    metrics: Option<SessionMetrics>,
+    /// Clock, job table, executed history, compaction tally and metrics.
+    core: SessionCore,
     /// Memoized batch plan — [`avr_schedule`] is a pure function of the
     /// job list, so the plan is recomputed only when an arrival invalidates
     /// it; pure clock advances (the `mpss-serve` broadcast-tick hot path)
@@ -42,30 +35,27 @@ pub struct AvrSession {
     /// advance, bit-identically.
     plan: Option<Schedule<f64>>,
     plans_computed: usize,
-    /// The most recent plan evaluation's cost summary (see
-    /// [`ReplanSummary`]); AVR has no flow network, so only latency,
-    /// work (profile segments peeled, the closest analogue), and the live
-    /// count are meaningful. Not checkpointed.
-    last_replan: Option<ReplanSummary>,
 }
 
 impl AvrSession {
     /// Opens a session on `m` processors with the clock at `start`.
     pub fn new(m: usize, start: f64) -> AvrSession {
-        assert!(m >= 1);
         AvrSession {
-            m,
-            now: start,
-            jobs: Vec::new(),
-            executed: Schedule::new(m),
-            compaction_watermark: None,
-            compacted_segments: 0,
-            compacted_work: 0.0,
-            metrics: None,
+            core: SessionCore::new(m, start),
             plan: None,
             plans_computed: 0,
-            last_replan: None,
         }
+    }
+
+    /// The clock, job table, executed history and compaction tally.
+    pub fn core(&self) -> &SessionCore {
+        &self.core
+    }
+
+    /// Mutable access to the core, e.g. to
+    /// [`compact_history`](SessionCore::compact_history).
+    pub fn core_mut(&mut self) -> &mut SessionCore {
+        &mut self.core
     }
 
     /// Attaches a live metrics bundle (see [`SessionMetrics::register`]).
@@ -73,77 +63,64 @@ impl AvrSession {
     /// bundle's replan counter still ticks once per arrival (each arrival
     /// changes the Fig. 3 decision) and the gauges track the active set.
     pub fn attach_metrics(&mut self, metrics: SessionMetrics) {
-        self.metrics = Some(metrics);
+        self.core.metrics = Some(metrics);
         self.publish_metrics();
     }
 
     fn publish_metrics(&self) {
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = &self.core.metrics {
+            let now = self.core.now();
             let active: Vec<&Job<f64>> = self
-                .jobs
+                .core
+                .jobs()
                 .iter()
-                .filter(|j| j.release <= self.now && self.now < j.deadline)
+                .filter(|j| j.release <= now && now < j.deadline)
                 .collect();
             // AVR does not track per-job progress; "queued" is the total
             // volume of jobs whose windows are still open.
             let queued = active.iter().map(|j| j.volume).sum();
-            metrics.publish(self.now, active.len(), queued, &self.current_speeds());
+            metrics.publish(now, active.len(), queued, &self.current_speeds());
         }
     }
 
-    /// Current clock.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Number of processors.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Number of jobs announced so far (session job ids are `0..job_count()`).
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Announces a job arriving now. Returns its session id.
-    pub fn arrive(&mut self, deadline: f64, volume: f64) -> Result<JobId, ModelError> {
-        let job = Job::new(self.now, deadline, volume);
-        Instance::new(self.m, vec![job])?;
-        self.jobs.push(job);
+    pub fn arrive(&mut self, deadline: f64, volume: f64) -> Result<JobId, SessionError> {
+        let id = self.core.announce(&[(deadline, volume)])?.start;
         // The arrival changes the Fig. 3 decision: drop the memoized plan.
         self.plan = None;
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = &self.core.metrics {
             metrics.on_arrival();
             metrics.on_replan(0.0);
         }
         self.publish_metrics();
-        Ok(self.jobs.len() - 1)
+        Ok(id)
     }
 
     /// The speed AVR assigns each processor right now: peel over-dense
     /// actives, share the rest (the instantaneous Fig. 3 decision).
     pub fn current_speeds(&self) -> Vec<f64> {
+        let (m, now) = (self.core.m(), self.core.now());
         let mut densities: Vec<f64> = self
-            .jobs
+            .core
+            .jobs()
             .iter()
-            .filter(|j| j.release <= self.now && self.now < j.deadline)
+            .filter(|j| j.release <= now && now < j.deadline)
             .map(|j| j.density())
             .collect();
         densities.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let mut speeds = vec![0.0; self.m];
+        let mut speeds = vec![0.0; m];
         let mut total: f64 = densities.iter().sum();
-        let mut m_left = self.m;
+        let mut m_left = m;
         let mut idx = 0;
         while idx < densities.len() && m_left > 0 && densities[idx] > total / m_left as f64 {
-            speeds[self.m - m_left] = densities[idx];
+            speeds[m - m_left] = densities[idx];
             total -= densities[idx];
             m_left -= 1;
             idx += 1;
         }
         if idx < densities.len() && m_left > 0 {
             let share = total / m_left as f64;
-            for s in speeds.iter_mut().skip(self.m - m_left) {
+            for s in speeds.iter_mut().skip(m - m_left) {
                 *s = share;
             }
         }
@@ -158,32 +135,19 @@ impl AvrSession {
     /// arrival recomputes the plan
     /// (see [`plans_computed`](AvrSession::plans_computed)); further
     /// advances slice the cached schedule in O(committed segments).
-    pub fn advance_to(&mut self, t: f64) -> Result<(), ModelError> {
-        assert!(t >= self.now, "clock cannot move backwards");
-        if !self.jobs.is_empty() {
-            if self.plan.is_none() {
-                let started = std::time::Instant::now();
-                let instance = Instance::new(self.m, self.jobs.clone())?;
-                let plan = avr_schedule(&instance);
-                self.last_replan = Some(ReplanSummary {
-                    latency_s: started.elapsed().as_secs_f64(),
-                    work_ops: plan.segments.len() as u64,
-                    live_jobs: self
-                        .jobs
-                        .iter()
-                        .filter(|j| j.release <= self.now && self.now < j.deadline)
-                        .count(),
-                    ..ReplanSummary::default()
-                });
-                self.plan = Some(plan);
-                self.plans_computed += 1;
-            }
-            let full = self.plan.as_ref().expect("plan memoized above");
-            for seg in full.restrict(self.now, t).segments {
-                self.executed.push(Segment { ..seg });
-            }
+    pub fn advance_to(&mut self, t: f64) -> Result<(), SessionError> {
+        self.core.check_clock(t)?;
+        if self.plan.is_none() && self.core.job_count() > 0 {
+            let instance = Instance::new(self.core.m(), self.core.jobs().to_vec())
+                .map_err(SessionError::Planning)?;
+            self.plan = Some(avr_schedule(&instance));
+            self.plans_computed += 1;
         }
-        self.now = t;
+        let window = match &self.plan {
+            Some(plan) => plan.restrict(self.core.now(), t).segments,
+            None => Vec::new(),
+        };
+        self.core.commit(window, t);
         self.publish_metrics();
         Ok(())
     }
@@ -195,118 +159,29 @@ impl AvrSession {
         self.plans_computed
     }
 
-    /// The most recent plan evaluation's cost summary (`None` until the
-    /// first post-arrival advance computes a plan). Process-level state:
-    /// checkpoints do not carry it.
-    pub fn last_replan(&self) -> Option<ReplanSummary> {
-        self.last_replan
-    }
-
-    /// Takes the most recent plan evaluation's summary, leaving `None` —
-    /// the daemon drains this into the flight recorder exactly once per
-    /// evaluation.
-    pub fn take_last_replan(&mut self) -> Option<ReplanSummary> {
-        self.last_replan.take()
-    }
-
-    /// Committed history so far (from the compaction watermark on, once
-    /// [`compact_history`](AvrSession::compact_history) has run).
-    pub fn executed(&self) -> &Schedule<f64> {
-        &self.executed
-    }
-
-    /// Drops executed history strictly before `watermark` (clamped to
-    /// `now`), bounding memory for long-running sessions. Same contract as
-    /// [`OaSession::compact_history`](crate::OaSession::compact_history):
-    /// only whole segments ending at or before the watermark drop, the
-    /// dropped count and work stay available via
-    /// [`compacted_segments`](AvrSession::compacted_segments) /
-    /// [`compacted_work`](AvrSession::compacted_work), and scheduling
-    /// decisions are unaffected (AVR is memoryless).
-    pub fn compact_history(&mut self, watermark: f64) -> usize {
-        let effective = watermark
-            .min(self.now)
-            .max(self.compaction_watermark.unwrap_or(f64::MIN));
-        let before = self.executed.segments.len();
-        let mut dropped_work = 0.0;
-        self.executed.segments.retain(|seg| {
-            if seg.end <= effective {
-                dropped_work += seg.work();
-                false
-            } else {
-                true
-            }
-        });
-        let dropped = before - self.executed.segments.len();
-        self.compacted_segments += dropped;
-        self.compacted_work += dropped_work;
-        self.compaction_watermark = Some(effective);
-        dropped
-    }
-
-    /// Everything executed strictly before this time has been compacted
-    /// away (`None`: never compacted, the history is complete).
-    pub fn compaction_watermark(&self) -> Option<f64> {
-        self.compaction_watermark
-    }
-
-    /// Segments dropped by compaction over the session's lifetime.
-    pub fn compacted_segments(&self) -> usize {
-        self.compacted_segments
-    }
-
-    /// Work (volume units) carried by the compacted segments.
-    pub fn compacted_work(&self) -> f64 {
-        self.compacted_work
-    }
-
     /// Freezes the full session state into a serializable, versioned
     /// [`AvrCheckpoint`]. Metrics handles are not part of the state —
     /// re-attach after [`restore`](AvrSession::restore).
     pub fn checkpoint(&self) -> AvrCheckpoint {
-        AvrCheckpoint {
-            version: CHECKPOINT_VERSION,
-            m: self.m,
-            now: self.now,
-            jobs: self.jobs.clone(),
-            executed: self.executed.clone(),
-            compaction_watermark: self.compaction_watermark,
-            compacted_segments: self.compacted_segments,
-            compacted_work: self.compacted_work,
-        }
+        self.core.checkpoint()
     }
 
     /// Resumes a session from a checkpoint, bit-identically: AVR's
     /// decisions are a pure function of the job set and the clock, both of
     /// which the checkpoint carries in full.
-    pub fn restore(checkpoint: AvrCheckpoint) -> Result<AvrSession, CheckpointError> {
-        checkpoint.validate()?;
+    pub fn restore(checkpoint: AvrCheckpoint) -> Result<AvrSession, SessionError> {
+        checkpoint.validate().map_err(SessionError::Checkpoint)?;
         Ok(AvrSession {
-            m: checkpoint.m,
-            now: checkpoint.now,
-            jobs: checkpoint.jobs,
-            executed: checkpoint.executed,
-            compaction_watermark: checkpoint.compaction_watermark,
-            compacted_segments: checkpoint.compacted_segments,
-            compacted_work: checkpoint.compacted_work,
-            metrics: None,
+            core: SessionCore::restore(checkpoint),
             plan: None,
             plans_computed: 0,
-            last_replan: None,
         })
     }
 
     /// Runs to the last deadline and returns the full schedule.
-    pub fn finish(mut self) -> Result<Schedule<f64>, ModelError> {
-        let horizon = self
-            .jobs
-            .iter()
-            .map(|j| j.deadline)
-            .fold(self.now, f64::max);
-        self.advance_to(horizon)?;
-        let mut s = self.executed;
-        s.normalize();
-        Ok(s)
+    pub fn finish(mut self) -> Result<Schedule<f64>, SessionError> {
+        self.advance_to(self.core.horizon())?;
+        Ok(self.core.into_schedule())
     }
 }
 
@@ -449,21 +324,24 @@ mod tests {
     }
 
     #[test]
-    fn compaction_conserves_work_in_the_tally() {
+    fn clock_cannot_move_backwards() {
         let mut s = AvrSession::new(1, 0.0);
-        s.arrive(1.0, 3.0).unwrap();
-        s.advance_to(2.0).unwrap();
         s.arrive(4.0, 2.0).unwrap();
-        s.advance_to(3.0).unwrap();
-        let full = s.executed().total_work();
-        let dropped = s.compact_history(2.0);
-        assert!(dropped > 0);
-        assert!((s.compacted_work() + s.executed().total_work() - full).abs() < 1e-9);
-        assert_eq!(s.compaction_watermark(), Some(2.0));
-        // Restore keeps the watermark.
-        let back = AvrSession::restore(s.checkpoint()).unwrap();
-        assert_eq!(back.compaction_watermark(), Some(2.0));
-        assert_eq!(back.compacted_segments(), dropped);
+        s.advance_to(2.0).unwrap();
+        let before = s.checkpoint();
+        assert_eq!(
+            s.advance_to(1.0),
+            Err(SessionError::TimeWentBackwards {
+                now: 2.0,
+                requested: 1.0
+            })
+        );
+        assert_eq!(
+            s.checkpoint(),
+            before,
+            "a rejected advance moved the session"
+        );
+        assert_eq!(s.plans_computed(), 1);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! // …and resume, bit-identically.
 //! let thawed = OaCheckpoint::from_json(&Json::parse(&frozen).unwrap()).unwrap();
 //! let mut session = OaSession::restore(thawed).unwrap();
-//! assert_eq!(session.now(), 1.0);
+//! assert_eq!(session.core().now(), 1.0);
 //! session.advance_to(4.0).unwrap();
 //! ```
 
@@ -57,10 +57,9 @@ use mpss_offline::FlowEngine;
 /// old reader misinterpret the state; see the module docs for the rules.
 pub const CHECKPOINT_VERSION: u64 = 1;
 
-/// Errors raised by [`OaSession::restore`](crate::OaSession::restore) /
-/// [`AvrSession::restore`](crate::AvrSession::restore) on a checkpoint that
-/// cannot be resumed, and by [`OaCheckpoint::from_json`] /
-/// [`AvrCheckpoint::from_json`] on a document that is not a checkpoint.
+/// A checkpoint that cannot be resumed (a restore reports it as
+/// [`SessionError::Checkpoint`](crate::SessionError::Checkpoint)), or a
+/// document that is not a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointError(pub String);
 
@@ -126,47 +125,25 @@ fn num_or_zero(doc: &Json, key: &str) -> Result<f64, String> {
     doc.get(key).map_or(Ok(0.0), |_| num(doc, key))
 }
 
-fn watermark_to_json(watermark: Option<f64>) -> Json {
-    match watermark {
-        Some(t) => Json::Num(t),
-        None => Json::Null,
-    }
-}
-
-fn watermark_from_json(doc: &Json) -> Result<Option<f64>, CheckpointError> {
-    match doc.get("compaction_watermark") {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => Ok(Some(any_num(value, "`compaction_watermark`")?)),
-    }
-}
-
-/// Full state of an [`OaSession`](crate::OaSession), ready to serialize.
+/// The state every session checkpoints: a
+/// [`SessionCore`](crate::SessionCore) under a format version. It is the
+/// whole of an [`AvrCheckpoint`] (AVR recomputes its memoized plan after
+/// restore) and the header of an [`OaCheckpoint`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct OaCheckpoint {
+pub struct CoreCheckpoint {
     /// Format version; restore rejects versions it does not know.
     pub version: u64,
-    /// Max-flow engine the session replans with (`"dinic"` /
-    /// `"push-relabel"`); bit-identity requires restoring with the same one.
-    pub engine: String,
     /// Processor count.
     pub m: usize,
     /// The session clock.
     pub now: f64,
     /// Every job announced so far, in arrival order (session job ids).
     pub jobs: Vec<Job<f64>>,
-    /// Remaining volume per job, parallel to `jobs`.
-    pub remaining: Vec<f64>,
     /// Committed history (everything at or after the compaction watermark).
     pub executed: Schedule<f64>,
-    /// The plan being followed, if any.
-    pub plan: Option<PlanSnapshot>,
-    /// Replans performed so far.
-    pub replans: usize,
-    /// Max-flow computations performed across all replans.
-    pub flow_computations: usize,
     /// Everything executed up to this time has been compacted away from
     /// `executed` (see
-    /// [`OaSession::compact_history`](crate::OaSession::compact_history)).
+    /// [`SessionCore::compact_history`](crate::SessionCore::compact_history)).
     pub compaction_watermark: Option<f64>,
     /// Segments dropped by compaction so far.
     pub compacted_segments: usize,
@@ -174,86 +151,63 @@ pub struct OaCheckpoint {
     pub compacted_work: f64,
 }
 
-/// Full state of an [`AvrSession`](crate::AvrSession), ready to serialize.
-/// AVR is memoryless — no plan to freeze — so the checkpoint is just jobs,
-/// clock, history, and compaction bookkeeping.
+/// Full state of an [`AvrSession`](crate::AvrSession): its core's alone.
+pub type AvrCheckpoint = CoreCheckpoint;
+
+/// Full state of an [`OaSession`](crate::OaSession), ready to serialize.
 #[derive(Clone, Debug, PartialEq)]
-pub struct AvrCheckpoint {
-    /// Format version; restore rejects versions it does not know.
-    pub version: u64,
-    /// Processor count.
-    pub m: usize,
-    /// The session clock.
-    pub now: f64,
-    /// Every job announced so far, in arrival order (session job ids).
-    pub jobs: Vec<Job<f64>>,
-    /// Committed history (everything at or after the compaction watermark).
-    pub executed: Schedule<f64>,
-    /// See [`OaCheckpoint::compaction_watermark`].
-    pub compaction_watermark: Option<f64>,
-    /// Segments dropped by compaction so far.
-    pub compacted_segments: usize,
-    /// Work carried by the compacted segments.
-    pub compacted_work: f64,
+pub struct OaCheckpoint {
+    /// Clock, jobs, executed history and compaction tally.
+    pub core: CoreCheckpoint,
+    /// Max-flow engine the session replans with (`"dinic"` /
+    /// `"push-relabel"`); bit-identity requires restoring with the same one.
+    pub engine: String,
+    /// Remaining volume per job, parallel to `core.jobs`.
+    pub remaining: Vec<f64>,
+    /// The plan being followed, if any.
+    pub plan: Option<PlanSnapshot>,
+    /// Replans performed so far.
+    pub replans: usize,
+    /// Max-flow computations performed across all replans.
+    pub flow_computations: usize,
 }
 
-impl OaCheckpoint {
+impl CoreCheckpoint {
     /// Renders the checkpoint as a JSON document.
     pub fn to_json(&self) -> Json {
+        self.render(None)
+    }
+
+    /// The core's fields with an OA checkpoint's own fields, if given, in
+    /// the places the OA format has always carried them: field order is
+    /// part of the byte-identical re-checkpoint contract.
+    fn render(&self, oa: Option<&OaCheckpoint>) -> Json {
         let mut doc = Json::object();
         doc.push("version", Json::UInt(self.version));
-        doc.push("engine", Json::from(self.engine.as_str()));
+        if let Some(oa) = oa {
+            doc.push("engine", Json::from(oa.engine.as_str()));
+        }
         doc.push("m", Json::UInt(self.m as u64));
         doc.push("now", Json::Num(self.now));
         doc.push(
             "jobs",
             Json::Arr(self.jobs.iter().map(Job::to_json).collect()),
         );
-        doc.push(
-            "remaining",
-            Json::Arr(self.remaining.iter().map(|&w| Json::Num(w)).collect()),
-        );
+        if let Some(oa) = oa {
+            doc.push(
+                "remaining",
+                Json::Arr(oa.remaining.iter().map(|&w| Json::Num(w)).collect()),
+            );
+        }
         doc.push("executed", self.executed.to_json());
-        doc.push(
-            "plan",
-            match &self.plan {
-                None => Json::Null,
-                Some(plan) => {
-                    let mut p = Json::object();
-                    p.push(
-                        "job_map",
-                        Json::Arr(
-                            plan.job_map
-                                .iter()
-                                .map(|&id| Json::UInt(id as u64))
-                                .collect(),
-                        ),
-                    );
-                    p.push("schedule", plan.schedule.to_json());
-                    p.push(
-                        "speeds",
-                        Json::Arr(
-                            plan.speeds
-                                .iter()
-                                .map(|s| match s {
-                                    Some(v) => Json::Num(*v),
-                                    None => Json::Null,
-                                })
-                                .collect(),
-                        ),
-                    );
-                    p
-                }
-            },
-        );
-        doc.push("replans", Json::UInt(self.replans as u64));
-        doc.push(
-            "flow_computations",
-            Json::UInt(self.flow_computations as u64),
-        );
+        if let Some(oa) = oa {
+            doc.push("plan", oa.plan.as_ref().map_or(Json::Null, plan_to_json));
+            doc.push("replans", Json::UInt(oa.replans as u64));
+            doc.push("flow_computations", Json::UInt(oa.flow_computations as u64));
+        }
         doc.push(
             "compaction_watermark",
-            watermark_to_json(self.compaction_watermark),
+            self.compaction_watermark.map_or(Json::Null, Json::Num),
         );
         doc.push(
             "compacted_segments",
@@ -264,8 +218,93 @@ impl OaCheckpoint {
     }
 
     /// Reads a checkpoint back from a JSON document. Unknown fields are
-    /// ignored; missing counters default to zero; everything
-    /// decision-relevant is required. Structural invariants are checked by
+    /// ignored; missing compaction bookkeeping defaults to empty;
+    /// everything decision-relevant is required. Structural invariants are
+    /// checked by [`validate`](CoreCheckpoint::validate), not here.
+    pub fn from_json(doc: &Json) -> Result<CoreCheckpoint, CheckpointError> {
+        Ok(CoreCheckpoint {
+            version: uint(doc, "version")?,
+            m: uint(doc, "m")? as usize,
+            now: num(doc, "now")?,
+            jobs: arr(doc, "jobs")?
+                .iter()
+                .map(Job::from_json)
+                .collect::<Result<Vec<_>, _>>()?,
+            executed: Schedule::from_json(
+                doc.get("executed")
+                    .ok_or_else(|| bad("missing field `executed`"))?,
+            )?,
+            compaction_watermark: match doc.get("compaction_watermark") {
+                None | Some(Json::Null) => None,
+                Some(value) => Some(any_num(value, "`compaction_watermark`")?),
+            },
+            compacted_segments: uint_or_zero(doc, "compacted_segments")? as usize,
+            compacted_work: num_or_zero(doc, "compacted_work")?,
+        })
+    }
+
+    /// Validates the header: a known version, at least one processor, the
+    /// executed history on the same processors, and a finite clock. Called
+    /// by every restore.
+    pub fn validate(&self) -> Result<(), CheckpointError> {
+        if self.version != CHECKPOINT_VERSION {
+            return Err(bad(format!(
+                "unsupported checkpoint version {} (this build reads {})",
+                self.version, CHECKPOINT_VERSION
+            )));
+        }
+        if self.m == 0 {
+            return Err(bad("zero processors"));
+        }
+        if self.executed.m != self.m {
+            return Err(bad(format!(
+                "{} processors but an executed history on {}",
+                self.m, self.executed.m
+            )));
+        }
+        if !self.now.is_finite() {
+            return Err(bad("non-finite clock"));
+        }
+        Ok(())
+    }
+}
+
+fn plan_to_json(plan: &PlanSnapshot) -> Json {
+    let mut p = Json::object();
+    p.push(
+        "job_map",
+        Json::Arr(
+            plan.job_map
+                .iter()
+                .map(|&id| Json::UInt(id as u64))
+                .collect(),
+        ),
+    );
+    p.push("schedule", plan.schedule.to_json());
+    p.push(
+        "speeds",
+        Json::Arr(
+            plan.speeds
+                .iter()
+                .map(|s| match s {
+                    Some(v) => Json::Num(*v),
+                    None => Json::Null,
+                })
+                .collect(),
+        ),
+    );
+    p
+}
+
+impl OaCheckpoint {
+    /// Renders the checkpoint as a JSON document.
+    pub fn to_json(&self) -> Json {
+        self.core.render(Some(self))
+    }
+
+    /// Reads a checkpoint back from a JSON document; same field rules as
+    /// [`CoreCheckpoint::from_json`], and missing counters default to zero.
+    /// Structural invariants are checked by
     /// [`validate`](OaCheckpoint::validate) (which
     /// [`OaSession::restore`](crate::OaSession::restore) calls), not here.
     pub fn from_json(doc: &Json) -> Result<OaCheckpoint, CheckpointError> {
@@ -274,10 +313,7 @@ impl OaCheckpoint {
             Some(other) => return Err(bad(format!("`engine` is not a string: {other:?}"))),
             None => return Err(bad("missing field `engine`")),
         };
-        let jobs = arr(doc, "jobs")?
-            .iter()
-            .map(Job::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let core = CoreCheckpoint::from_json(doc)?;
         let remaining = arr(doc, "remaining")?
             .iter()
             .map(|w| any_num(w, "`remaining` entry"))
@@ -311,52 +347,31 @@ impl OaCheckpoint {
             }
         };
         Ok(OaCheckpoint {
-            version: uint(doc, "version")?,
+            core,
             engine,
-            m: uint(doc, "m")? as usize,
-            now: num(doc, "now")?,
-            jobs,
             remaining,
-            executed: Schedule::from_json(
-                doc.get("executed")
-                    .ok_or_else(|| bad("missing field `executed`"))?,
-            )?,
             plan,
             replans: uint_or_zero(doc, "replans")? as usize,
             flow_computations: uint_or_zero(doc, "flow_computations")? as usize,
-            compaction_watermark: watermark_from_json(doc)?,
-            compacted_segments: uint_or_zero(doc, "compacted_segments")? as usize,
-            compacted_work: num_or_zero(doc, "compacted_work")?,
         })
     }
 
-    /// Validates structural invariants and decodes the engine name.
-    /// Called by [`OaSession::restore`](crate::OaSession::restore).
+    /// Validates the header and OA's structural invariants, and decodes the
+    /// engine name. Called by [`OaSession::restore`](crate::OaSession::restore).
     pub fn validate(&self) -> Result<FlowEngine, CheckpointError> {
-        if self.version != CHECKPOINT_VERSION {
-            return Err(bad(format!(
-                "unsupported checkpoint version {} (this build reads {})",
-                self.version, CHECKPOINT_VERSION
-            )));
-        }
-        if self.m == 0 {
-            return Err(bad("zero processors"));
-        }
-        if self.jobs.len() != self.remaining.len() {
+        self.core.validate()?;
+        if self.core.jobs.len() != self.remaining.len() {
             return Err(bad(format!(
                 "{} jobs but {} remaining volumes",
-                self.jobs.len(),
+                self.core.jobs.len(),
                 self.remaining.len()
             )));
-        }
-        if !self.now.is_finite() {
-            return Err(bad("non-finite clock"));
         }
         if let Some(plan) = &self.plan {
             if plan.speeds.len() != plan.job_map.len() {
                 return Err(bad("plan speeds do not match its job map"));
             }
-            if let Some(&bad_id) = plan.job_map.iter().find(|&&id| id >= self.jobs.len()) {
+            if let Some(&bad_id) = plan.job_map.iter().find(|&&id| id >= self.core.jobs.len()) {
                 return Err(bad(format!("plan references unknown session job {bad_id}")));
             }
         }
@@ -367,70 +382,6 @@ impl OaCheckpoint {
     /// writes for `engine`.
     pub fn name_of(engine: FlowEngine) -> &'static str {
         engine_name(engine)
-    }
-}
-
-impl AvrCheckpoint {
-    /// Renders the checkpoint as a JSON document.
-    pub fn to_json(&self) -> Json {
-        let mut doc = Json::object();
-        doc.push("version", Json::UInt(self.version));
-        doc.push("m", Json::UInt(self.m as u64));
-        doc.push("now", Json::Num(self.now));
-        doc.push(
-            "jobs",
-            Json::Arr(self.jobs.iter().map(Job::to_json).collect()),
-        );
-        doc.push("executed", self.executed.to_json());
-        doc.push(
-            "compaction_watermark",
-            watermark_to_json(self.compaction_watermark),
-        );
-        doc.push(
-            "compacted_segments",
-            Json::UInt(self.compacted_segments as u64),
-        );
-        doc.push("compacted_work", Json::Num(self.compacted_work));
-        doc
-    }
-
-    /// Reads a checkpoint back from a JSON document; same field rules as
-    /// [`OaCheckpoint::from_json`].
-    pub fn from_json(doc: &Json) -> Result<AvrCheckpoint, CheckpointError> {
-        Ok(AvrCheckpoint {
-            version: uint(doc, "version")?,
-            m: uint(doc, "m")? as usize,
-            now: num(doc, "now")?,
-            jobs: arr(doc, "jobs")?
-                .iter()
-                .map(Job::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            executed: Schedule::from_json(
-                doc.get("executed")
-                    .ok_or_else(|| bad("missing field `executed`"))?,
-            )?,
-            compaction_watermark: watermark_from_json(doc)?,
-            compacted_segments: uint_or_zero(doc, "compacted_segments")? as usize,
-            compacted_work: num_or_zero(doc, "compacted_work")?,
-        })
-    }
-
-    /// Validates structural invariants. Called by
-    /// [`AvrSession::restore`](crate::AvrSession::restore).
-    pub fn validate(&self) -> Result<(), CheckpointError> {
-        if self.version != CHECKPOINT_VERSION {
-            return Err(bad(format!(
-                "unsupported checkpoint version {} (this build reads {})",
-                self.version, CHECKPOINT_VERSION
-            )));
-        }
-        if self.m == 0 {
-            return Err(bad("zero processors"));
-        }
-        if !self.now.is_finite() {
-            return Err(bad("non-finite clock"));
-        }
-        Ok(())
     }
 }
 
@@ -458,19 +409,21 @@ mod tests {
     #[test]
     fn oa_validation_catches_structural_rot() {
         let mut cp = OaCheckpoint {
-            version: CHECKPOINT_VERSION,
+            core: CoreCheckpoint {
+                version: CHECKPOINT_VERSION,
+                m: 2,
+                now: 1.0,
+                jobs: vec![mpss_core::job::job(0.0, 2.0, 1.0)],
+                executed: Schedule::new(2),
+                compaction_watermark: None,
+                compacted_segments: 0,
+                compacted_work: 0.0,
+            },
             engine: "dinic".into(),
-            m: 2,
-            now: 1.0,
-            jobs: vec![mpss_core::job::job(0.0, 2.0, 1.0)],
             remaining: vec![1.0],
-            executed: Schedule::new(2),
             plan: None,
             replans: 1,
             flow_computations: 1,
-            compaction_watermark: None,
-            compacted_segments: 0,
-            compacted_work: 0.0,
         };
         assert_eq!(cp.validate().unwrap(), FlowEngine::Dinic);
         cp.engine = "push-relabel".into();
@@ -478,6 +431,9 @@ mod tests {
         cp.engine = "simplex".into();
         assert!(cp.validate().is_err());
         cp.engine = "dinic".into();
+        cp.core.executed = Schedule::new(3);
+        assert!(cp.validate().is_err(), "history on other processors");
+        cp.core.executed = Schedule::new(2);
         cp.remaining.clear();
         assert!(cp.validate().is_err());
         cp.remaining = vec![1.0];
@@ -500,13 +456,18 @@ mod tests {
             speed: 1.0 / 3.0,
         });
         let cp = OaCheckpoint {
-            version: CHECKPOINT_VERSION,
+            core: CoreCheckpoint {
+                version: CHECKPOINT_VERSION,
+                m: 2,
+                now: 0.5,
+                jobs: vec![mpss_core::job::job(0.0, 2.0, 0.1 + 0.2)],
+                executed,
+                compaction_watermark: Some(0.25),
+                compacted_segments: 2,
+                compacted_work: 1.0 / 7.0,
+            },
             engine: "push-relabel".into(),
-            m: 2,
-            now: 0.5,
-            jobs: vec![mpss_core::job::job(0.0, 2.0, 0.1 + 0.2)],
             remaining: vec![0.3 - 0.5 / 3.0],
-            executed,
             plan: Some(PlanSnapshot {
                 job_map: vec![0],
                 schedule: Schedule::new(2),
@@ -514,9 +475,6 @@ mod tests {
             }),
             replans: 3,
             flow_computations: 7,
-            compaction_watermark: Some(0.25),
-            compacted_segments: 2,
-            compacted_work: 1.0 / 7.0,
         };
         let text = cp.to_json().render();
         let back = OaCheckpoint::from_json(&Json::parse(&text).unwrap()).unwrap();

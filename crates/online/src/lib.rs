@@ -66,6 +66,7 @@ pub mod eps;
 pub mod oa;
 pub mod potential;
 pub mod session;
+pub mod session_core;
 pub mod session_metrics;
 
 pub use avr::{
@@ -76,7 +77,7 @@ pub use avr_analysis::{avr_proof_terms, AvrProofTerms};
 pub use avr_session::AvrSession;
 pub use bkp::bkp_schedule;
 pub use checkpoint::{
-    AvrCheckpoint, CheckpointError, OaCheckpoint, PlanSnapshot, CHECKPOINT_VERSION,
+    AvrCheckpoint, CheckpointError, CoreCheckpoint, OaCheckpoint, PlanSnapshot, CHECKPOINT_VERSION,
 };
 pub use driver::{
     competitive_report, competitive_report_observed, record_energy_trajectory, RatioReport,
@@ -84,5 +85,6 @@ pub use driver::{
 pub use eps::job_is_live;
 pub use oa::{oa_schedule, oa_schedule_observed, oa_schedule_with_plans};
 pub use potential::{audit_oa_potential, PotentialAudit};
-pub use session::{OaSession, ReplanSummary, SessionError};
+pub use session::{OaSession, ReplanSummary};
+pub use session_core::{SessionCore, SessionError};
 pub use session_metrics::SessionMetrics;

@@ -17,7 +17,8 @@
 //! replan loop the `mpss-serve` daemon runs for each OA tenant, so these
 //! checks test the code that serves.
 
-use crate::session::{OaSession, SessionError};
+use crate::session::OaSession;
+use crate::session_core::SessionError;
 use mpss_core::{Instance, JobId, ModelError, Schedule};
 use mpss_numeric::FlowNum;
 use mpss_obs::{Collector, NoopCollector};

@@ -14,11 +14,12 @@
 //! arithmetic. Checkpoints, metrics and history compaction serve the
 //! `mpss-serve` daemon and exist for `OaSession<f64>` only.
 
-use crate::checkpoint::{CheckpointError, OaCheckpoint, PlanSnapshot, CHECKPOINT_VERSION};
+use crate::checkpoint::{OaCheckpoint, PlanSnapshot};
 use crate::eps::job_is_live;
 use crate::oa::PlanRecord;
+use crate::session_core::{SessionCore, SessionError};
 use crate::session_metrics::SessionMetrics;
-use mpss_core::{Instance, Job, JobId, ModelError, Schedule, Segment};
+use mpss_core::{Instance, Job, JobId, Schedule};
 use mpss_numeric::FlowNum;
 use mpss_obs::{Collector, NoopCollector};
 use mpss_offline::optimal::{optimal_schedule_prepared, FlowEngine, OfflineOptions, SeedPlan};
@@ -35,13 +36,12 @@ pub struct ReplanSummary {
     /// Wall-clock latency of the replan, seconds.
     pub latency_s: f64,
     /// Machine-independent derivation work this replan charged
-    /// ([`work_ops`](mpss_offline::OptimalResult::work_ops); for AVR, the
-    /// number of profile segments peeled, the closest work analogue).
+    /// ([`work_ops`](mpss_offline::OptimalResult::work_ops)).
     pub work_ops: u64,
     /// Network arcs patched incrementally by this replan (0 for scratch
-    /// solves and for AVR, which has no flow network).
+    /// solves).
     pub patched_arcs: u64,
-    /// Max-flow computations this replan ran (0 for AVR).
+    /// Max-flow computations this replan ran.
     pub flow_computations: u64,
     /// Jobs with remaining work when the replan ran.
     pub live_jobs: usize,
@@ -62,15 +62,10 @@ pub struct ReplanSummary {
 /// assert!(schedule.total_work() > 4.9);
 /// ```
 pub struct OaSession<T: FlowNum = f64> {
-    m: usize,
-    now: T,
-    /// All jobs seen so far, in arrival order (the session's job ids).
-    jobs: Vec<Job<T>>,
+    /// Clock, job table, executed history, compaction tally and metrics.
+    core: SessionCore<T>,
+    /// Remaining volume per job, parallel to the core's job table.
     remaining: Vec<T>,
-    /// Committed (executed) history up to `now` (from the compaction
-    /// watermark on, once [`compact_history`](OaSession::compact_history)
-    /// has run).
-    executed: Schedule<T>,
     /// The plan currently being followed (over session job ids).
     plan: Option<PlanSnapshot<T>>,
     /// The max-flow engine replans solve with (fixed per session: a
@@ -82,11 +77,6 @@ pub struct OaSession<T: FlowNum = f64> {
     /// the `offline.maxflow.invocations` / `oa.maxflow.invocations` work
     /// counters).
     flow_computations: usize,
-    /// Everything executed strictly before this time was compacted away.
-    compaction_watermark: Option<T>,
-    compacted_segments: usize,
-    compacted_work: T,
-    metrics: Option<SessionMetrics>,
     /// Incremental derivation planner (lazily primed). Deliberately *not*
     /// checkpointed: `sync` is a pure function of the live set, so a
     /// restored session's first replan rebuilds it and every later replan
@@ -106,39 +96,6 @@ pub struct OaSession<T: FlowNum = f64> {
     last_replan: Option<ReplanSummary>,
 }
 
-/// Errors from driving a session. Times are reported as `f64` whatever
-/// the session's number type.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionError {
-    /// Time may not move backwards.
-    TimeWentBackwards { now: f64, requested: f64 },
-    /// The arriving job is malformed (empty window / non-positive volume).
-    BadJob(ModelError),
-    /// Internal planning failure (defensive; unreachable for valid input).
-    Planning(ModelError),
-    /// A checkpoint could not be restored (wrong version, unknown engine,
-    /// or structurally inconsistent state).
-    Checkpoint(CheckpointError),
-}
-
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionError::TimeWentBackwards { now, requested } => {
-                write!(
-                    f,
-                    "cannot advance to {requested}: clock is already at {now}"
-                )
-            }
-            SessionError::BadJob(e) => write!(f, "bad job: {e}"),
-            SessionError::Planning(e) => write!(f, "planning failed: {e}"),
-            SessionError::Checkpoint(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
 impl<T: FlowNum> OaSession<T> {
     /// Opens a session on `m` processors with the clock at `start`,
     /// replanning on the default max-flow engine (Dinic).
@@ -150,21 +107,13 @@ impl<T: FlowNum> OaSession<T> {
     /// is fixed for the session's lifetime and recorded in checkpoints:
     /// bit-identical restore requires resuming on the same engine.
     pub fn with_engine(m: usize, start: T, engine: FlowEngine) -> OaSession<T> {
-        assert!(m >= 1, "need at least one processor");
         OaSession {
-            m,
-            now: start,
-            jobs: Vec::new(),
+            core: SessionCore::new(m, start),
             remaining: Vec::new(),
-            executed: Schedule::new(m),
             plan: None,
             engine,
             replans: 0,
             flow_computations: 0,
-            compaction_watermark: None,
-            compacted_segments: 0,
-            compacted_work: T::zero(),
-            metrics: None,
             planner: None,
             incremental: true,
             incremental_stats: IncrementalStats::default(),
@@ -174,33 +123,29 @@ impl<T: FlowNum> OaSession<T> {
     }
 
     fn publish_metrics(&self) {
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = &self.core.metrics {
             let mut active = 0usize;
             let mut queued = T::zero();
-            for (k, job) in self.jobs.iter().enumerate() {
+            for (k, job) in self.core.jobs().iter().enumerate() {
                 if job_is_live(self.remaining[k], job.volume) {
                     active += 1;
                     queued += self.remaining[k];
                 }
             }
             let speeds: Vec<f64> = self.current_speeds().into_iter().map(T::to_f64).collect();
-            metrics.publish(self.now.to_f64(), active, queued.to_f64(), &speeds);
+            metrics.publish(self.core.now().to_f64(), active, queued.to_f64(), &speeds);
         }
     }
 
-    /// Current clock.
-    pub fn now(&self) -> T {
-        self.now
+    /// The clock, job table, executed history and compaction tally.
+    pub fn core(&self) -> &SessionCore<T> {
+        &self.core
     }
 
-    /// Number of processors.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Number of jobs announced so far (session job ids are `0..job_count()`).
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
+    /// Mutable access to the core, e.g. to
+    /// [`compact_history`](SessionCore::compact_history).
+    pub fn core_mut(&mut self) -> &mut SessionCore<T> {
+        &mut self.core
     }
 
     /// Number of replans so far.
@@ -289,15 +234,9 @@ impl<T: FlowNum> OaSession<T> {
         obs: &mut C,
         plans: Option<&mut Vec<PlanRecord<T>>>,
     ) -> Result<Range<JobId>, SessionError> {
-        let jobs = batch
-            .iter()
-            .map(|&(deadline, volume)| Job::new(self.now, deadline, volume))
-            .collect();
-        let arrived = Instance::new(self.m, jobs).map_err(SessionError::BadJob)?;
-        let ids = self.jobs.len()..self.jobs.len() + batch.len();
-        for job in arrived.jobs {
-            self.jobs.push(job);
-            self.remaining.push(job.volume);
+        let ids = self.core.announce(batch)?;
+        for &(_, volume) in batch {
+            self.remaining.push(volume);
             obs.instant("oa.arrival");
         }
         obs.span_start("oa.replan");
@@ -306,11 +245,11 @@ impl<T: FlowNum> OaSession<T> {
         if let Err(e) = replanned {
             // Unwind so the failed arrivals leave no trace (the replan
             // itself touched no state or metrics on its error path).
-            self.jobs.truncate(ids.start);
+            self.core.retract(ids.start);
             self.remaining.truncate(ids.start);
             return Err(e);
         }
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = &self.core.metrics {
             for _ in ids.clone() {
                 metrics.on_arrival();
             }
@@ -334,32 +273,29 @@ impl<T: FlowNum> OaSession<T> {
     /// Advances the clock to `t`, executing the current plan over
     /// `[now, t)` and committing it to history.
     pub fn advance_to(&mut self, t: T) -> Result<(), SessionError> {
-        if t < self.now {
-            return Err(SessionError::TimeWentBackwards {
-                now: self.now.to_f64(),
-                requested: t.to_f64(),
-            });
-        }
-        if let Some(plan) = &self.plan {
-            let window = plan.schedule.restrict(self.now, t);
-            for seg in &window.segments {
-                let orig = plan.job_map[seg.job];
-                self.remaining[orig] -= seg.work();
-                self.executed.push(Segment { job: orig, ..*seg });
+        self.core.check_clock(t)?;
+        let window = match &self.plan {
+            Some(plan) => {
+                let mut window = plan.schedule.restrict(self.core.now(), t).segments;
+                for seg in &mut window {
+                    seg.job = plan.job_map[seg.job];
+                    self.remaining[seg.job] -= seg.work();
+                }
+                window
             }
-        }
-        self.now = t;
+            None => Vec::new(),
+        };
+        self.core.commit(window, t);
         self.publish_metrics();
         Ok(())
     }
 
     /// The speed each processor is running at right now (0 = idle).
     pub fn current_speeds(&self) -> Vec<T> {
+        let (m, now) = (self.core.m(), self.core.now());
         match &self.plan {
-            Some(plan) => (0..self.m)
-                .map(|p| plan.schedule.speed_at(p, self.now))
-                .collect(),
-            None => vec![T::zero(); self.m],
+            Some(plan) => (0..m).map(|p| plan.schedule.speed_at(p, now)).collect(),
+            None => vec![T::zero(); m],
         }
     }
 
@@ -375,31 +311,21 @@ impl<T: FlowNum> OaSession<T> {
         self.remaining.get(job).copied()
     }
 
-    /// The committed (already executed) history: everything strictly before
-    /// [`now`](OaSession::now). Append-only across the session's lifetime,
-    /// except that [`compact_history`](OaSession::compact_history) may drop
-    /// segments from the front (before the compaction watermark).
-    pub fn executed(&self) -> &Schedule<T> {
-        &self.executed
-    }
-
     /// Runs the session to completion (the latest deadline) and returns the
     /// full executed schedule (from the compaction watermark on, if
-    /// [`compact_history`](OaSession::compact_history) has run).
+    /// [`compact_history`](SessionCore::compact_history) has run).
     pub fn finish(mut self) -> Result<Schedule<T>, SessionError> {
-        let horizon = self.jobs.iter().map(|j| j.deadline).fold(self.now, T::max2);
-        self.advance_to(horizon)?;
+        self.advance_to(self.core.horizon())?;
         debug_assert!(
-            self.jobs
+            self.core
+                .jobs()
                 .iter()
                 .zip(&self.remaining)
                 .all(|(job, &left)| T::close(left, T::zero(), job.volume, 1e-6)),
             "OA left unfinished work: {:?}",
             self.remaining
         );
-        let mut schedule = self.executed;
-        schedule.normalize();
-        Ok(schedule)
+        Ok(self.core.into_schedule())
     }
 
     /// Surviving jobs' future execution spans under the current plan,
@@ -412,16 +338,17 @@ impl<T: FlowNum> OaSession<T> {
         // One pass over the old plan's segments: map each segment's job back
         // to its position in the *new* sub-instance (if still live) instead
         // of rescanning the segment list per job.
-        let mut new_pos = vec![usize::MAX; self.jobs.len()];
+        let mut new_pos = vec![usize::MAX; self.core.job_count()];
         for (i, &orig) in job_map.iter().enumerate() {
             new_pos[orig] = i;
         }
         let mut spans: Vec<Vec<(T, T)>> = vec![Vec::new(); job_map.len()];
         let mut any = false;
+        let now = self.core.now();
         for seg in &plan.schedule.segments {
             let i = new_pos[plan.job_map[seg.job]];
-            if i != usize::MAX && seg.end > self.now {
-                spans[i].push((seg.start.max2(self.now), seg.end));
+            if i != usize::MAX && seg.end > now {
+                spans[i].push((seg.start.max2(now), seg.end));
                 any = true;
             }
         }
@@ -436,12 +363,13 @@ impl<T: FlowNum> OaSession<T> {
         // Always timed: the flight recorder wants every replan's latency,
         // and one monotonic-clock read is noise next to a solve.
         let started = std::time::Instant::now();
+        let now = self.core.now();
         let mut job_map = Vec::new();
         let mut sub_jobs = Vec::new();
-        for (k, job) in self.jobs.iter().enumerate() {
+        for (k, job) in self.core.jobs().iter().enumerate() {
             if job_is_live(self.remaining[k], job.volume) {
                 job_map.push(k);
-                sub_jobs.push(Job::new(self.now, job.deadline, self.remaining[k]));
+                sub_jobs.push(Job::new(now, job.deadline, self.remaining[k]));
             }
         }
         let live_jobs = job_map.len();
@@ -456,7 +384,7 @@ impl<T: FlowNum> OaSession<T> {
         } else {
             // Validate before the planner sync so a rejected sub-instance
             // leaves the incremental state untouched.
-            let sub = Instance::new(self.m, sub_jobs).map_err(SessionError::Planning)?;
+            let sub = Instance::new(self.core.m(), sub_jobs).map_err(SessionError::Planning)?;
             let options = OfflineOptions {
                 engine: self.engine,
                 ..OfflineOptions::default()
@@ -465,12 +393,11 @@ impl<T: FlowNum> OaSession<T> {
             // `job_map` ascends, so (session id, deadline) is a valid
             // planner live set; sub-instance job `i` is `job_map[i]`.
             let sync = if self.incremental {
-                let live: Vec<(usize, T)> = job_map
-                    .iter()
-                    .map(|&k| (k, self.jobs[k].deadline))
-                    .collect();
+                let jobs = self.core.jobs();
+                let live: Vec<(usize, T)> =
+                    job_map.iter().map(|&k| (k, jobs[k].deadline)).collect();
                 let planner = self.planner.get_or_insert_with(IncrementalPlanner::new);
-                Some(planner.sync_observed(self.now, &live, obs))
+                Some(planner.sync_observed(now, &live, obs))
             } else {
                 None
             };
@@ -493,7 +420,7 @@ impl<T: FlowNum> OaSession<T> {
             let speeds = (0..job_map.len()).map(|k| result.speed_of(k)).collect();
             if let Some(plans) = plans {
                 plans.push(PlanRecord {
-                    time: self.now,
+                    time: now,
                     job_map: job_map.clone(),
                     instance: sub,
                     plan: result.clone(),
@@ -511,7 +438,7 @@ impl<T: FlowNum> OaSession<T> {
         obs.count("oa.maxflow.invocations", summary.flow_computations);
         summary.latency_s = started.elapsed().as_secs_f64();
         self.last_replan = Some(summary);
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = &self.core.metrics {
             metrics.on_replan(summary.latency_s);
         }
         self.publish_metrics();
@@ -525,59 +452,8 @@ impl OaSession {
     /// clock movement publish to the bundle's gauges; an unattached session
     /// touches no metrics at all.
     pub fn attach_metrics(&mut self, metrics: SessionMetrics) {
-        self.metrics = Some(metrics);
+        self.core.metrics = Some(metrics);
         self.publish_metrics();
-    }
-
-    /// Drops executed history strictly before `watermark` (clamped to
-    /// `now`), bounding session memory for long-running services. Returns
-    /// the number of segments dropped; their count and total work stay
-    /// available through [`compacted_segments`](OaSession::compacted_segments)
-    /// / [`compacted_work`](OaSession::compacted_work), and the effective
-    /// watermark through
-    /// [`compaction_watermark`](OaSession::compaction_watermark) — all three
-    /// are carried by checkpoints.
-    ///
-    /// Only segments ending at or before the watermark are dropped, so
-    /// [`executed`](OaSession::executed) always holds the exact history of
-    /// `[watermark, now)` plus any straddling segments in full. Compaction
-    /// never changes scheduling decisions — plans read jobs and remaining
-    /// volumes, never the history.
-    pub fn compact_history(&mut self, watermark: f64) -> usize {
-        let effective = watermark
-            .min(self.now)
-            .max(self.compaction_watermark.unwrap_or(f64::MIN));
-        let before = self.executed.segments.len();
-        let mut dropped_work = 0.0;
-        self.executed.segments.retain(|seg| {
-            if seg.end <= effective {
-                dropped_work += seg.work();
-                false
-            } else {
-                true
-            }
-        });
-        let dropped = before - self.executed.segments.len();
-        self.compacted_segments += dropped;
-        self.compacted_work += dropped_work;
-        self.compaction_watermark = Some(effective);
-        dropped
-    }
-
-    /// Everything executed strictly before this time has been compacted
-    /// away (`None`: never compacted, the history is complete).
-    pub fn compaction_watermark(&self) -> Option<f64> {
-        self.compaction_watermark
-    }
-
-    /// Segments dropped by compaction over the session's lifetime.
-    pub fn compacted_segments(&self) -> usize {
-        self.compacted_segments
-    }
-
-    /// Work (volume units) carried by the compacted segments.
-    pub fn compacted_work(&self) -> f64 {
-        self.compacted_work
     }
 
     /// Freezes the full session state into a serializable, versioned
@@ -588,19 +464,12 @@ impl OaSession {
     /// [`restore`](OaSession::restore).
     pub fn checkpoint(&self) -> OaCheckpoint {
         OaCheckpoint {
-            version: CHECKPOINT_VERSION,
+            core: self.core.checkpoint(),
             engine: OaCheckpoint::name_of(self.engine).to_string(),
-            m: self.m,
-            now: self.now,
-            jobs: self.jobs.clone(),
             remaining: self.remaining.clone(),
-            executed: self.executed.clone(),
             plan: self.plan.clone(),
             replans: self.replans,
             flow_computations: self.flow_computations,
-            compaction_watermark: self.compaction_watermark,
-            compacted_segments: self.compacted_segments,
-            compacted_work: self.compacted_work,
         }
     }
 
@@ -612,19 +481,12 @@ impl OaSession {
     pub fn restore(checkpoint: OaCheckpoint) -> Result<OaSession, SessionError> {
         let engine = checkpoint.validate().map_err(SessionError::Checkpoint)?;
         Ok(OaSession {
-            m: checkpoint.m,
-            now: checkpoint.now,
-            jobs: checkpoint.jobs,
+            core: SessionCore::restore(checkpoint.core),
             remaining: checkpoint.remaining,
-            executed: checkpoint.executed,
             plan: checkpoint.plan,
             engine,
             replans: checkpoint.replans,
             flow_computations: checkpoint.flow_computations,
-            compaction_watermark: checkpoint.compaction_watermark,
-            compacted_segments: checkpoint.compacted_segments,
-            compacted_work: checkpoint.compacted_work,
-            metrics: None,
             planner: None,
             incremental: true,
             incremental_stats: IncrementalStats::default(),
@@ -713,12 +575,12 @@ mod tests {
         let mut session = OaSession::new(1, 0.0);
         session.arrive(4.0, 2.0).unwrap();
         session.advance_to(1.0).unwrap();
-        let snap1 = (1.0, session.executed().clone());
+        let snap1 = (1.0, session.core().executed().clone());
         session.arrive(2.0, 1.5).unwrap();
         session.advance_to(2.0).unwrap();
-        let snap2 = (2.0, session.executed().clone());
+        let snap2 = (2.0, session.core().executed().clone());
         session.advance_to(4.0).unwrap();
-        let snap3 = (4.0, session.executed().clone());
+        let snap3 = (4.0, session.core().executed().clone());
         mpss_sim::audit_commit_monotonicity(&[snap1, snap2, snap3])
             .expect("history must be append-only");
     }
@@ -845,7 +707,7 @@ mod tests {
             Err(SessionError::BadJob(_))
         ));
 
-        assert_eq!(session.job_count(), 1);
+        assert_eq!(session.core().job_count(), 1);
         assert_eq!(session.replans(), replans_before);
         assert_eq!(session.flow_computations(), flows_before);
         let value = |name: &str| {
@@ -911,7 +773,7 @@ mod tests {
         let mut session = OaSession::new(1, 0.0);
         session.arrive(2.0, 1.0).unwrap();
         let mut cp = session.checkpoint();
-        cp.version += 1;
+        cp.core.version += 1;
         assert!(matches!(
             OaSession::restore(cp),
             Err(SessionError::Checkpoint(_))
@@ -919,33 +781,6 @@ mod tests {
         let mut cp = session.checkpoint();
         cp.engine = "abacus".into();
         assert!(OaSession::restore(cp).is_err());
-    }
-
-    #[test]
-    fn compaction_drops_old_history_and_keeps_the_tally() {
-        let mut session = OaSession::new(1, 0.0);
-        session.arrive(2.0, 2.0).unwrap();
-        session.advance_to(2.0).unwrap();
-        session.arrive(4.0, 1.0).unwrap();
-        session.advance_to(3.0).unwrap();
-        let full_work = session.executed().total_work();
-        let dropped = session.compact_history(2.0);
-        assert!(dropped > 0);
-        assert_eq!(session.compaction_watermark(), Some(2.0));
-        assert_eq!(session.compacted_segments(), dropped);
-        let kept_work = session.executed().total_work();
-        assert!(
-            (session.compacted_work() + kept_work - full_work).abs() < 1e-9,
-            "work must be conserved across compaction"
-        );
-        // The suffix history is untouched and the watermark never moves back.
-        assert!(session.executed().segments.iter().all(|s| s.end > 2.0));
-        session.compact_history(1.0);
-        assert_eq!(session.compaction_watermark(), Some(2.0));
-        // Checkpoints carry the compaction bookkeeping.
-        let cp = session.checkpoint();
-        assert_eq!(cp.compaction_watermark, Some(2.0));
-        assert_eq!(cp.compacted_segments, dropped);
     }
 
     #[test]

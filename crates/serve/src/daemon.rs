@@ -24,8 +24,9 @@
 //!
 //! With [`DaemonConfig::compact_window`] set, every advance to time `t`
 //! compacts each advanced tenant's executed history up to `t - window`,
-//! bounding daemon memory on long streams. The compaction watermark and
-//! dropped-work tallies ride along in checkpoints, so bounded memory and
+//! bounding the history kept on long streams (not the job table: sessions
+//! keep every job they were told about). The compaction watermark and
+//! dropped-work tallies ride along in checkpoints, so bounded history and
 //! exact restore compose.
 //!
 //! # Black box
@@ -49,7 +50,8 @@ use mpss_obs::{
     StderrSink, TraceCollector,
 };
 use mpss_online::{
-    AvrCheckpoint, AvrSession, OaCheckpoint, OaSession, ReplanSummary, SessionError, SessionMetrics,
+    AvrCheckpoint, AvrSession, OaCheckpoint, OaSession, ReplanSummary, SessionCore, SessionError,
+    SessionMetrics,
 };
 use mpss_par::ThreadPool;
 use std::collections::BTreeMap;
@@ -72,6 +74,11 @@ pub const MAX_AUTO_BUNDLES: u64 = 32;
 /// its newline and answered `bad-request`, so one client cannot make the
 /// daemon buffer without bound.
 const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Most processors one tenant may have: each metered tenant registers one
+/// speed gauge per processor, so a larger `m` is refused before any
+/// session or series exists.
+pub const MAX_PROCESSORS: usize = 1024;
 
 /// Daemon construction knobs.
 #[derive(Clone, Debug)]
@@ -134,131 +141,61 @@ impl Session {
         }
     }
 
-    fn now(&self) -> f64 {
+    fn core(&self) -> &SessionCore {
         match self {
-            Session::Oa(s) => s.now(),
-            Session::Avr(s) => s.now(),
-        }
-    }
-
-    fn job_count(&self) -> usize {
-        match self {
-            Session::Oa(s) => s.job_count(),
-            Session::Avr(s) => s.job_count(),
-        }
-    }
-
-    fn arrive(&mut self, deadline: f64, volume: f64) -> Result<usize, (ErrorKind, String)> {
-        match self {
-            Session::Oa(s) => s.arrive(deadline, volume).map_err(session_error),
-            Session::Avr(s) => s
-                .arrive(deadline, volume)
-                .map_err(|e| (ErrorKind::BadJob, format!("bad job: {e}"))),
+            Session::Oa(s) => s.core(),
+            Session::Avr(s) => s.core(),
         }
     }
 
     /// Advance plus windowed compaction. The caller has already checked
     /// `to >= now`, so errors here are defensive.
-    fn advance_to(&mut self, to: f64, compact_window: Option<f64>) -> Result<(), String> {
-        match self {
-            Session::Oa(s) => s.advance_to(to).map_err(|e| e.to_string())?,
-            Session::Avr(s) => s.advance_to(to).map_err(|e| e.to_string())?,
-        }
+    fn advance_to(&mut self, to: f64, compact_window: Option<f64>) -> Result<(), SessionError> {
+        let core = match self {
+            Session::Oa(s) => {
+                s.advance_to(to)?;
+                s.core_mut()
+            }
+            Session::Avr(s) => {
+                s.advance_to(to)?;
+                s.core_mut()
+            }
+        };
         if let Some(window) = compact_window {
-            let watermark = to - window;
-            match self {
-                Session::Oa(s) => s.compact_history(watermark),
-                Session::Avr(s) => s.compact_history(watermark),
-            };
+            core.compact_history(to - window);
         }
         Ok(())
     }
 
-    /// The last replan's summary, consumed. `None` if nothing replanned
-    /// since the previous take.
-    fn take_last_replan(&mut self) -> Option<ReplanSummary> {
-        match self {
-            Session::Oa(s) => s.take_last_replan(),
-            Session::Avr(s) => s.take_last_replan(),
-        }
-    }
-
-    /// Engine label for flight-recorder replan events.
-    fn engine_label(&self) -> &'static str {
-        match self {
-            Session::Oa(s) => engine_name(s.engine()),
-            Session::Avr(_) => "avr",
-        }
-    }
-
-    fn attach_metrics(&mut self, hub: &MetricsHub, tenant: &str) {
-        let (algo, m) = (self.algo().as_str(), self.m());
-        let metrics = SessionMetrics::register_tenant(hub, algo, tenant, m);
-        match self {
-            Session::Oa(s) => s.attach_metrics(metrics),
-            Session::Avr(s) => s.attach_metrics(metrics),
-        }
-    }
-
-    fn m(&self) -> usize {
-        match self {
-            Session::Oa(s) => s.m(),
-            Session::Avr(s) => s.m(),
-        }
-    }
-
-    fn state_json(&self) -> Json {
-        match self {
-            Session::Oa(s) => s.checkpoint().to_json(),
-            Session::Avr(s) => s.checkpoint().to_json(),
-        }
-    }
-
     fn snapshot_json(&self, tenant: &str) -> Json {
+        let core = self.core();
         let mut doc = Json::object();
         doc.push("tenant", Json::from(tenant));
         doc.push("algo", Json::from(self.algo().as_str()));
-        doc.push("m", Json::UInt(self.m() as u64));
-        doc.push("now", Json::Num(self.now()));
-        doc.push("jobs", Json::UInt(self.job_count() as u64));
-        match self {
-            Session::Oa(s) => {
-                doc.push("replans", Json::UInt(s.replans() as u64));
-                doc.push(
-                    "flow_computations",
-                    Json::UInt(s.flow_computations() as u64),
-                );
-                doc.push("engine", Json::from(engine_name(s.engine())));
-                doc.push(
-                    "executed_segments",
-                    Json::UInt(s.executed().segments.len() as u64),
-                );
-                doc.push(
-                    "compacted_segments",
-                    Json::UInt(s.compacted_segments() as u64),
-                );
-                doc.push("compacted_work", Json::Num(s.compacted_work()));
-                doc.push(
-                    "compaction_watermark",
-                    s.compaction_watermark().map_or(Json::Null, Json::Num),
-                );
-            }
-            Session::Avr(s) => {
-                doc.push(
-                    "executed_segments",
-                    Json::UInt(s.executed().segments.len() as u64),
-                );
-                doc.push(
-                    "compacted_segments",
-                    Json::UInt(s.compacted_segments() as u64),
-                );
-                doc.push("compacted_work", Json::Num(s.compacted_work()));
-                doc.push(
-                    "compaction_watermark",
-                    s.compaction_watermark().map_or(Json::Null, Json::Num),
-                );
-            }
+        doc.push("m", Json::UInt(core.m() as u64));
+        doc.push("now", Json::Num(core.now()));
+        doc.push("jobs", Json::UInt(core.job_count() as u64));
+        if let Session::Oa(s) = self {
+            doc.push("replans", Json::UInt(s.replans() as u64));
+            doc.push(
+                "flow_computations",
+                Json::UInt(s.flow_computations() as u64),
+            );
+            doc.push("engine", Json::from(engine_name(s.engine())));
         }
+        doc.push(
+            "executed_segments",
+            Json::UInt(core.executed().segments.len() as u64),
+        );
+        doc.push(
+            "compacted_segments",
+            Json::UInt(core.compacted_segments() as u64),
+        );
+        doc.push("compacted_work", Json::Num(core.compacted_work()));
+        doc.push(
+            "compaction_watermark",
+            core.compaction_watermark().map_or(Json::Null, Json::Num),
+        );
         doc
     }
 
@@ -266,32 +203,24 @@ impl Session {
         let mut doc = Json::object();
         doc.push("tenant", Json::from(tenant));
         doc.push("algo", Json::from(self.algo().as_str()));
-        doc.push("now", Json::Num(self.now()));
-        let speeds = match self {
-            Session::Oa(s) => s.current_speeds(),
-            Session::Avr(s) => s.current_speeds(),
+        doc.push("now", Json::Num(self.core().now()));
+        // AVR tracks no per-job progress or speed: its jobs list nulls.
+        let (speeds, oa) = match self {
+            Session::Oa(s) => (s.current_speeds(), Some(s)),
+            Session::Avr(s) => (s.current_speeds(), None),
         };
         doc.push(
             "speeds",
             Json::Arr(speeds.into_iter().map(Json::Num).collect()),
         );
-        let jobs = (0..self.job_count())
+        let jobs = (0..self.core().job_count())
             .map(|k| {
                 let mut job = Json::object();
                 job.push("id", Json::UInt(k as u64));
-                match self {
-                    Session::Oa(s) => {
-                        job.push(
-                            "remaining",
-                            s.remaining_volume(k).map_or(Json::Null, Json::Num),
-                        );
-                        job.push("speed", s.planned_speed(k).map_or(Json::Null, Json::Num));
-                    }
-                    Session::Avr(_) => {
-                        job.push("remaining", Json::Null);
-                        job.push("speed", Json::Null);
-                    }
-                }
+                let remaining = oa.and_then(|s| s.remaining_volume(k));
+                job.push("remaining", remaining.map_or(Json::Null, Json::Num));
+                let speed = oa.and_then(|s| s.planned_speed(k));
+                job.push("speed", speed.map_or(Json::Null, Json::Num));
                 job
             })
             .collect();
@@ -367,6 +296,9 @@ impl TenantFlight {
 struct Tenant {
     session: Session,
     flight: TenantFlight,
+    /// `mpss_serve_replan_patched_arcs{tenant}`, registered at the
+    /// tenant's first OA replan.
+    patched_arcs: Option<Gauge>,
 }
 
 /// The daemon: a map of tenants plus the shared hub and pool. See the
@@ -386,9 +318,11 @@ pub struct Daemon {
     postmortem_seq: u64,
     postmortems_written: u64,
     obs_ns: u64,
-    /// Reused buffer for per-request replan drains (cleared after every
-    /// request; keeping the capacity avoids a fresh allocation per arrive).
-    replans_scratch: Vec<(String, ReplanSummary)>,
+    /// `mpss_serve_requests_total{op}` per op, each registered at the op's
+    /// first request.
+    requests_total: BTreeMap<&'static str, Counter>,
+    /// `mpss_serve_tenants`, registered when the first request completes.
+    tenants_gauge: Option<Gauge>,
 }
 
 impl Daemon {
@@ -414,7 +348,8 @@ impl Daemon {
             postmortem_seq: 0,
             postmortems_written: 0,
             obs_ns: 0,
-            replans_scratch: Vec::new(),
+            requests_total: BTreeMap::new(),
+            tenants_gauge: None,
             config,
         }
     }
@@ -533,12 +468,16 @@ impl Daemon {
         if self.config.panic_on_op.as_deref() == Some(op) {
             panic!("injected panic on `{op}` (DaemonConfig::panic_on_op)");
         }
-        self.hub
-            .counter(
-                "mpss_serve_requests_total",
-                "requests handled, by op",
-                &[("op", op)],
-            )
+        let hub = &self.hub;
+        self.requests_total
+            .entry(op)
+            .or_insert_with(|| {
+                hub.counter(
+                    "mpss_serve_requests_total",
+                    "requests handled, by op",
+                    &[("op", op)],
+                )
+            })
             .inc();
         let response = match request {
             Request::Open {
@@ -565,28 +504,24 @@ impl Daemon {
         // flight events, per-tenant gauges, log-counter deltas. Its cost is
         // accumulated so the overhead budget is itself observable.
         let obs_started = std::time::Instant::now();
-        let mut replans = self.observe_request(request, &response);
+        let replan = self.observe_request(request, &response);
         self.obs_ns += obs_started.elapsed().as_nanos() as u64;
         // Bundle triggers run outside the obs window: dumping is incident
         // I/O, not steady-state recording.
-        self.maybe_bundle(request, &response, &replans);
-        replans.clear();
-        self.replans_scratch = replans;
-        self.hub
-            .gauge("mpss_serve_tenants", "live tenant sessions", &[])
+        self.maybe_bundle(request, &response, replan);
+        let hub = &self.hub;
+        self.tenants_gauge
+            .get_or_insert_with(|| hub.gauge("mpss_serve_tenants", "live tenant sessions", &[]))
             .set(self.tenants.len() as f64);
         response
     }
 
     /// The observability tail of [`handle`](Daemon::handle): records the
-    /// request (and error) into the flight rings, drains replan summaries
-    /// into replan events, and publishes the flight gauges and log-record
-    /// counter. Returns the drained replans for the bundle triggers.
-    fn observe_request(
-        &mut self,
-        request: &Request,
-        response: &Response,
-    ) -> Vec<(String, ReplanSummary)> {
+    /// request (and error) into the flight rings, drains the addressed OA
+    /// tenant's replan summary into a replan event, and publishes the flight
+    /// gauges and log-record counter. Returns the drained summary for the
+    /// bundle triggers.
+    fn observe_request(&mut self, request: &Request, response: &Response) -> Option<ReplanSummary> {
         let op = request.op();
         let tenant = request_tenant(request);
         let error_kind = response.error_kind().map(static_error_kind);
@@ -614,45 +549,23 @@ impl Daemon {
             );
             error_event = Some(event);
         }
-        // Replans completed by this request: the addressed tenant, or — for
-        // a broadcast advance, which already did O(tenants) work — everyone.
-        // Only OA sessions run a planning engine; an AVR arrival is an O(1)
-        // speed recompute, not a replan, and records no replan event.
-        let mut replans = std::mem::take(&mut self.replans_scratch);
-        match (tenant, request) {
-            (None, Request::Advance { .. }) => {
-                for (name, t) in &mut self.tenants {
-                    if !matches!(t.session, Session::Oa(_)) {
-                        continue;
-                    }
-                    let engine = t.session.engine_label();
-                    let Some(summary) = t.session.take_last_replan() else {
-                        continue;
-                    };
-                    t.flight.recorder.record(replan_event(&summary, engine));
-                    t.flight.publish();
-                    replans.push((name.clone(), summary));
+        // Only an OA arrival replans, and it addresses its tenant. The
+        // per-request hot path: one map lookup reaches both the session
+        // (replan drain) and the adjacent flight ring.
+        let mut replan = None;
+        if let Some(t) = tenant.and_then(|name| self.tenants.get_mut(name)) {
+            t.flight.recorder.record(event);
+            if let Some(event) = error_event {
+                t.flight.recorder.record(event);
+            }
+            if let Session::Oa(s) = &mut t.session {
+                replan = s.take_last_replan();
+                if let Some(summary) = &replan {
+                    let engine = engine_name(s.engine());
+                    t.flight.recorder.record(replan_event(summary, engine));
                 }
             }
-            (Some(name), _) => {
-                // The per-request hot path: one map lookup reaches both the
-                // session (replan drain) and the adjacent flight ring.
-                if let Some(t) = self.tenants.get_mut(name) {
-                    t.flight.recorder.record(event);
-                    if let Some(event) = error_event {
-                        t.flight.recorder.record(event);
-                    }
-                    if let Session::Oa(_) = t.session {
-                        if let Some(summary) = t.session.take_last_replan() {
-                            let engine = t.session.engine_label();
-                            t.flight.recorder.record(replan_event(&summary, engine));
-                            replans.push((name.to_string(), summary));
-                        }
-                    }
-                    t.flight.publish();
-                }
-            }
-            _ => {}
+            t.flight.publish();
         }
         let emitted = self.logger.records_total();
         if emitted > self.log_published {
@@ -665,7 +578,7 @@ impl Daemon {
                 .add(emitted - self.log_published);
             self.log_published = emitted;
         }
-        replans
+        replan
     }
 
     /// Bundle triggers: a slow replan (keeping the armed Chrome trace) or a
@@ -675,22 +588,20 @@ impl Daemon {
         &mut self,
         request: &Request,
         response: &Response,
-        replans: &[(String, ReplanSummary)],
+        replan: Option<ReplanSummary>,
     ) {
-        if let Some(threshold_ms) = self.config.slow_replan_ms {
-            for (name, summary) in replans {
-                if summary.latency_s * 1_000.0 >= threshold_ms {
-                    let name = name.clone();
-                    self.bundle(
-                        &name,
-                        BundleReason::SlowReplan,
-                        request.op(),
-                        None,
-                        Some(*summary),
-                        None,
-                    );
-                    break; // one exemplar per request is plenty
-                }
+        if let (Some(threshold_ms), Some(summary), Some(name)) =
+            (self.config.slow_replan_ms, replan, request_tenant(request))
+        {
+            if summary.latency_s * 1_000.0 >= threshold_ms {
+                self.bundle(
+                    name,
+                    BundleReason::SlowReplan,
+                    request.op(),
+                    None,
+                    Some(summary),
+                    None,
+                );
             }
         }
         // The trace is only kept by a tripped threshold; otherwise arming
@@ -903,8 +814,8 @@ impl Daemon {
         if let Err(message) = validate_tenant_id(tenant) {
             return self.fail("open", ErrorKind::BadRequest, message);
         }
-        if m == 0 {
-            return self.fail("open", ErrorKind::BadRequest, "`m` must be at least 1");
+        if let Err(message) = check_processors(m) {
+            return self.fail("open", ErrorKind::BadRequest, message);
         }
         if !start.is_finite() {
             return self.fail("open", ErrorKind::BadRequest, "`start` must be finite");
@@ -916,14 +827,11 @@ impl Daemon {
                 format!("tenant `{tenant}` is already open"),
             );
         }
-        let mut session = match algo {
+        let session = match algo {
             Algo::Oa => Session::Oa(OaSession::with_engine(m, start, engine.unwrap_or_default())),
             Algo::Avr => Session::Avr(AvrSession::new(m, start)),
         };
-        session.attach_metrics(&self.hub, tenant);
-        let flight = TenantFlight::new(self.config.flight_capacity, &self.hub, tenant);
-        self.tenants
-            .insert(tenant.to_string(), Tenant { session, flight });
+        self.admit(tenant, session);
         self.logger.info(
             "serve.open",
             "opened tenant",
@@ -942,50 +850,50 @@ impl Daemon {
         let Some(t) = self.tenants.get_mut(tenant) else {
             return unknown_tenant(self, tenant);
         };
-        let session = &mut t.session;
         // Slow-replan exemplar capture: with a threshold and a bundle dir
         // configured, every OA replan runs under an armed Chrome trace that
         // is kept only if the threshold trips.
-        let arm = self.config.slow_replan_ms.is_some()
-            && self.config.postmortem_dir.is_some()
-            && matches!(session, Session::Oa(_));
-        let outcome = if arm {
-            let mut trace = TraceCollector::new("replan");
-            let result = match session {
-                Session::Oa(s) => s
-                    .arrive_observed(deadline, volume, &mut trace)
-                    .map_err(session_error),
-                Session::Avr(_) => unreachable!("arm requires an OA session"),
-            };
-            self.pending_trace = Some(trace);
-            result
-        } else {
-            session.arrive(deadline, volume)
-        };
-        match outcome {
-            Ok(job) => {
+        let arm = self.config.slow_replan_ms.is_some() && self.config.postmortem_dir.is_some();
+        let outcome = match &mut t.session {
+            Session::Oa(s) => {
+                let result = if arm {
+                    let mut trace = TraceCollector::new("replan");
+                    let result = s.arrive_observed(deadline, volume, &mut trace);
+                    self.pending_trace = Some(trace);
+                    result
+                } else {
+                    s.arrive(deadline, volume)
+                };
                 // Soak runs watch this grow with the per-arrival delta, not
                 // with the tenant's live-job count (the incremental-replan
                 // contract; AVR tenants have no replan network to patch).
-                if let Some(Tenant {
-                    session: Session::Oa(s),
-                    ..
-                }) = self.tenants.get(tenant)
-                {
-                    self.hub
-                        .gauge(
-                            "mpss_serve_replan_patched_arcs",
-                            "cumulative network arcs patched by incremental replans",
-                            &[("tenant", tenant)],
-                        )
+                if result.is_ok() {
+                    let hub = &self.hub;
+                    t.patched_arcs
+                        .get_or_insert_with(|| {
+                            hub.gauge(
+                                "mpss_serve_replan_patched_arcs",
+                                "cumulative network arcs patched by incremental replans",
+                                &[("tenant", tenant)],
+                            )
+                        })
                         .set(s.incremental_stats().patched_arcs as f64);
                 }
+                result
+            }
+            Session::Avr(s) => s.arrive(deadline, volume),
+        };
+        match outcome {
+            Ok(job) => {
                 let mut body = Json::object();
                 body.push("tenant", Json::from(tenant));
                 body.push("job", Json::UInt(job as u64));
                 Response::ok(body)
             }
-            Err((kind, message)) => self.fail("arrive", kind, message),
+            Err(e) => {
+                let (kind, message) = session_error(e);
+                self.fail("arrive", kind, message)
+            }
         }
     }
 
@@ -1003,7 +911,7 @@ impl Daemon {
         // Atomicity: reject before moving anyone's clock, so a failed
         // broadcast leaves every tenant exactly where it was.
         for name in &targets {
-            let now = self.tenants[*name].session.now();
+            let now = self.tenants[*name].session.core().now();
             if now > to {
                 return self.fail(
                     "advance",
@@ -1015,8 +923,9 @@ impl Daemon {
         let advanced = match tenant {
             Some(name) => {
                 let t = self.tenants.get_mut(name).expect("checked above");
-                if let Err(message) = t.session.advance_to(to, self.config.compact_window) {
-                    return self.fail("advance", ErrorKind::Planning, message);
+                if let Err(e) = t.session.advance_to(to, self.config.compact_window) {
+                    let (kind, message) = session_error(e);
+                    return self.fail("advance", kind, message);
                 }
                 1
             }
@@ -1033,13 +942,14 @@ impl Daemon {
                 });
                 let mut first_error = None;
                 for (name, t, result) in done {
-                    if let (Err(message), None) = (&result, &first_error) {
-                        first_error = Some(format!("tenant `{name}`: {message}"));
+                    if let (Err(e), None) = (result, &first_error) {
+                        let (kind, message) = session_error(e);
+                        first_error = Some((kind, format!("tenant `{name}`: {message}")));
                     }
                     self.tenants.insert(name, t);
                 }
-                if let Some(message) = first_error {
-                    return self.fail("advance", ErrorKind::Planning, message);
+                if let Some((kind, message)) = first_error {
+                    return self.fail("advance", kind, message);
                 }
                 count
             }
@@ -1137,10 +1047,7 @@ impl Daemon {
             }
         }
         let mut names = Vec::new();
-        for (name, mut session) in restored {
-            session.attach_metrics(&self.hub, &name);
-            names.push(Json::from(name.as_str()));
-            let flight = TenantFlight::new(self.config.flight_capacity, &self.hub, &name);
+        for (name, session) in restored {
             self.logger.info(
                 "serve.restore",
                 "restored tenant",
@@ -1149,12 +1056,32 @@ impl Daemon {
                     ("algo", Json::from(session.algo().as_str())),
                 ],
             );
-            self.tenants.insert(name, Tenant { session, flight });
+            self.admit(&name, session);
+            names.push(Json::from(name));
         }
         let mut body = Json::object();
         body.push("dir", Json::from(dir));
         body.push("restored", Json::Arr(names));
         Response::ok(body)
+    }
+
+    /// Makes `session` live as tenant `name`, metered and with a flight ring.
+    /// The first publish reads each session's own state.
+    fn admit(&mut self, name: &str, mut session: Session) {
+        let (algo, m) = (session.algo().as_str(), session.core().m());
+        let metrics = SessionMetrics::register_tenant(&self.hub, algo, name, m);
+        match &mut session {
+            Session::Oa(s) => s.attach_metrics(metrics),
+            Session::Avr(s) => s.attach_metrics(metrics),
+        }
+        let flight = TenantFlight::new(self.config.flight_capacity, &self.hub, name);
+        let patched_arcs = None;
+        let tenant = Tenant {
+            session,
+            flight,
+            patched_arcs,
+        };
+        self.tenants.insert(name.to_string(), tenant);
     }
 
     fn read_checkpoint(&self, path: &Path) -> Result<(String, Session), Response> {
@@ -1202,15 +1129,17 @@ impl Daemon {
             .get("state")
             .ok_or_else(|| bad("missing `state`".into()))?;
         let session = match algo {
-            Algo::Oa => {
-                let cp = OaCheckpoint::from_json(state).map_err(|e| bad(e.to_string()))?;
-                Session::Oa(OaSession::restore(cp).map_err(|e| bad(e.to_string()))?)
-            }
-            Algo::Avr => {
-                let cp = AvrCheckpoint::from_json(state).map_err(|e| bad(e.to_string()))?;
-                Session::Avr(AvrSession::restore(cp).map_err(|e| bad(e.to_string()))?)
-            }
-        };
+            Algo::Oa => OaCheckpoint::from_json(state)
+                .map_err(SessionError::Checkpoint)
+                .and_then(OaSession::restore)
+                .map(Session::Oa),
+            Algo::Avr => AvrCheckpoint::from_json(state)
+                .map_err(SessionError::Checkpoint)
+                .and_then(AvrSession::restore)
+                .map(Session::Avr),
+        }
+        .map_err(|e| bad(e.to_string()))?;
+        check_processors(session.core().m()).map_err(bad)?;
         Ok((name, session))
     }
 }
@@ -1286,12 +1215,16 @@ fn replan_json(summary: &ReplanSummary) -> Json {
 /// and postmortem bundles, so a bundle doubles as a restorable checkpoint
 /// directory).
 fn checkpoint_envelope(name: &str, session: &Session) -> Json {
+    let state = match session {
+        Session::Oa(s) => s.checkpoint().to_json(),
+        Session::Avr(s) => s.checkpoint().to_json(),
+    };
     let mut envelope = Json::object();
     envelope.push("format", Json::from(CHECKPOINT_FORMAT));
     envelope.push("version", Json::UInt(CHECKPOINT_FILE_VERSION));
     envelope.push("tenant", Json::from(name));
     envelope.push("algo", Json::from(session.algo().as_str()));
-    envelope.push("state", session.state_json());
+    envelope.push("state", state);
     envelope
 }
 
@@ -1335,6 +1268,17 @@ fn catch_panics<R>(f: impl FnOnce() -> R) -> Result<R, String> {
             .with(|c| c.borrow_mut().take())
             .unwrap_or_else(|| "panic".to_string())
     })
+}
+
+/// A tenant has `1..=MAX_PROCESSORS` processors.
+fn check_processors(m: usize) -> Result<(), String> {
+    match m {
+        0 => Err("`m` must be at least 1".into()),
+        1..=MAX_PROCESSORS => Ok(()),
+        _ => Err(format!(
+            "`m` = {m} exceeds the limit of {MAX_PROCESSORS} processors"
+        )),
+    }
 }
 
 /// Tenant ids double as file names, so the charset is locked down.
@@ -1580,6 +1524,47 @@ mod tests {
             dir: dir.clone(),
         }));
         assert_eq!(fresh.tenant_count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn processor_counts_past_the_limit_change_nothing() {
+        let dir = tmp_dir("max-processors");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            Path::new(&dir).join("wider.checkpoint.json"),
+            r#"{"format":"mpss-serve/checkpoint","version":1,"tenant":"wider","algo":"avr","state":{"version":1,"m":1025,"now":0,"jobs":[],"executed":{"m":1025,"segments":[]}}}"#,
+        )
+        .unwrap();
+        let mut daemon = Daemon::new(DaemonConfig::default());
+        let open = |m| Request::Open {
+            tenant: "wide".into(),
+            algo: Algo::Oa,
+            m,
+            start: 0.0,
+            engine: None,
+        };
+        let r = daemon.handle(&open(MAX_PROCESSORS + 1));
+        assert_eq!(
+            r.render_line(),
+            r#"{"ok":false,"error":{"kind":"bad-request","message":"`m` = 1025 exceeds the limit of 1024 processors"}}"#
+        );
+        let r = daemon.handle(&Request::Restore {
+            tenant: None,
+            dir: dir.clone(),
+        });
+        assert_eq!(r.error_kind(), Some("bad-checkpoint"));
+        assert_eq!(daemon.tenant_count(), 0);
+        assert!(
+            daemon
+                .hub()
+                .snapshot()
+                .iter()
+                .all(|row| row.labels.iter().all(|(k, _)| k != "tenant")),
+            "a refused tenant registered series"
+        );
+        ok(daemon.handle(&open(MAX_PROCESSORS)));
+        assert_eq!(daemon.tenant_count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -66,7 +66,7 @@ pub mod protocol;
 
 pub use daemon::{
     validate_tenant_id, Daemon, DaemonConfig, CHECKPOINT_FILE_VERSION, CHECKPOINT_FORMAT,
-    MAX_AUTO_BUNDLES,
+    MAX_AUTO_BUNDLES, MAX_PROCESSORS,
 };
 pub use net::{serve_tcp, Client};
 pub use postmortem::{

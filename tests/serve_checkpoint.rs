@@ -77,14 +77,14 @@ fn run_oa(
         match *event {
             Event::Arrive(window, volume) => {
                 session
-                    .arrive(session.now() + window, volume)
+                    .arrive(session.core().now() + window, volume)
                     .expect("streams only produce valid jobs");
             }
             Event::Advance(dt) => {
-                let to = session.now() + dt;
+                let to = session.core().now() + dt;
                 session.advance_to(to).expect("time moves forward");
                 if let Some(w) = compact {
-                    session.compact_history(to - w);
+                    session.core_mut().compact_history(to - w);
                 }
             }
         }
@@ -101,14 +101,14 @@ fn run_avr(events: &[Event], compact: Option<f64>, kill: impl Fn(usize) -> bool)
         match *event {
             Event::Arrive(window, volume) => {
                 session
-                    .arrive(session.now() + window, volume)
+                    .arrive(session.core().now() + window, volume)
                     .expect("streams only produce valid jobs");
             }
             Event::Advance(dt) => {
-                let to = session.now() + dt;
+                let to = session.core().now() + dt;
                 session.advance_to(to).expect("time moves forward");
                 if let Some(w) = compact {
-                    session.compact_history(to - w);
+                    session.core_mut().compact_history(to - w);
                 }
             }
         }
@@ -119,43 +119,30 @@ fn run_avr(events: &[Event], compact: Option<f64>, kill: impl Fn(usize) -> bool)
     session
 }
 
-fn assert_oa_identical(a: &OaSession, b: &OaSession) {
-    assert_eq!(a.now().to_bits(), b.now().to_bits(), "clock diverged");
-    assert_eq!(
-        a.executed().segments,
-        b.executed().segments,
-        "schedule diverged"
-    );
-    assert_eq!(a.replans(), b.replans(), "replan counter diverged");
-    assert_eq!(
-        a.flow_computations(),
-        b.flow_computations(),
-        "max-flow counter diverged"
-    );
-    assert_eq!(a.current_speeds(), b.current_speeds(), "speeds diverged");
-    assert_eq!(a.compaction_watermark(), b.compaction_watermark());
-    assert_eq!(a.compacted_segments(), b.compacted_segments());
-    assert_eq!(a.compacted_work().to_bits(), b.compacted_work().to_bits());
-    // And the checkpoints themselves are byte-identical, so a re-freeze of
-    // the survivor equals a re-freeze of the restored twin.
-    assert_eq!(
-        a.checkpoint().to_json().render(),
-        b.checkpoint().to_json().render()
-    );
-}
-
-fn assert_avr_identical(a: &AvrSession, b: &AvrSession) {
-    assert_eq!(a.now().to_bits(), b.now().to_bits(), "clock diverged");
-    assert_eq!(
-        a.executed().segments,
-        b.executed().segments,
-        "schedule diverged"
-    );
-    assert_eq!(a.current_speeds(), b.current_speeds(), "speeds diverged");
-    assert_eq!(
-        a.checkpoint().to_json().render(),
-        b.checkpoint().to_json().render()
-    );
+/// Two runs of either session type agree bit for bit: same clock, executed
+/// history, compaction tally and speeds, and checkpoints that render to the
+/// same bytes (so a re-freeze of the survivor equals a re-freeze of the
+/// restored twin). An OA checkpoint also carries the remaining volumes, the
+/// plan, and the replan and max-flow counters.
+macro_rules! assert_identical {
+    ($a:expr, $b:expr) => {{
+        let (a, b) = ($a, $b);
+        let (ca, cb) = (a.core(), b.core());
+        assert_eq!(ca.now().to_bits(), cb.now().to_bits(), "clock diverged");
+        assert_eq!(
+            ca.executed().segments,
+            cb.executed().segments,
+            "schedule diverged"
+        );
+        assert_eq!(ca.compaction_watermark(), cb.compaction_watermark());
+        assert_eq!(ca.compacted_segments(), cb.compacted_segments());
+        assert_eq!(ca.compacted_work().to_bits(), cb.compacted_work().to_bits());
+        assert_eq!(a.current_speeds(), b.current_speeds(), "speeds diverged");
+        assert_eq!(
+            a.checkpoint().to_json().render(),
+            b.checkpoint().to_json().render()
+        );
+    }};
 }
 
 #[test]
@@ -165,7 +152,7 @@ fn oa_kill_after_every_step_is_invisible_on_both_engines() {
             let events = stream(seed, 30);
             let straight = run_oa(&events, engine, None, |_| false);
             let battered = run_oa(&events, engine, None, |_| true);
-            assert_oa_identical(&straight, &battered);
+            assert_identical!(&straight, &battered);
             assert!(straight.replans() > 0, "stream {seed} exercised nothing");
         }
     }
@@ -177,9 +164,9 @@ fn oa_kill_restore_composes_with_compaction() {
     for engine in [FlowEngine::Dinic, FlowEngine::PushRelabel] {
         let straight = run_oa(&events, engine, Some(1.5), |_| false);
         let battered = run_oa(&events, engine, Some(1.5), |i| i % 3 == 0);
-        assert_oa_identical(&straight, &battered);
+        assert_identical!(&straight, &battered);
         assert!(
-            straight.compacted_segments() > 0,
+            straight.core().compacted_segments() > 0,
             "the window never compacted anything — the test is vacuous"
         );
     }
@@ -191,8 +178,8 @@ fn avr_kill_after_every_step_is_invisible() {
         let events = stream(seed, 40);
         let straight = run_avr(&events, Some(1.0), |_| false);
         let battered = run_avr(&events, Some(1.0), |_| true);
-        assert_avr_identical(&straight, &battered);
-        assert!(!straight.executed().segments.is_empty());
+        assert_identical!(&straight, &battered);
+        assert!(!straight.core().executed().segments.is_empty());
     }
 }
 
@@ -301,6 +288,42 @@ fn daemon_restart_every_few_requests_is_invisible() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
+/// The checkpoint format is pinned by files an earlier build wrote:
+/// `tests/fixtures/serve_checkpoint/` holds the checkpoint directory that
+/// `mpss-cli serve --compact-window 1.5 --threads 2 < requests.ndjson` left
+/// in `ckpt/` — a Dinic OA tenant with a live plan, a push–relabel OA
+/// tenant and an AVR tenant, all with compacted history. Restoring it and
+/// checkpointing again must reproduce every file byte for byte.
+#[test]
+fn checkpoints_written_by_an_earlier_build_round_trip_byte_for_byte() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/serve_checkpoint");
+    let out = std::env::temp_dir().join(format!("mpss-serve-fixture-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let mut daemon = Daemon::new(DaemonConfig::default());
+    let r = daemon.handle(&Request::Restore {
+        tenant: None,
+        dir: fixture.to_string_lossy().into_owned(),
+    });
+    assert!(r.is_ok(), "{}", r.render_line());
+    assert_eq!(daemon.tenant_names(), ["avr", "din", "rel"]);
+    let r = daemon.handle(&Request::Checkpoint {
+        tenant: None,
+        dir: out.to_string_lossy().into_owned(),
+    });
+    assert!(r.is_ok(), "{}", r.render_line());
+    for tenant in ["avr", "din", "rel"] {
+        let file = format!("{tenant}.checkpoint.json");
+        let pinned = std::fs::read(fixture.join(&file)).expect("fixture file");
+        let written = std::fs::read(out.join(&file)).expect("re-checkpointed file");
+        assert!(
+            pinned == written,
+            "tenant {tenant}: checkpoint bytes changed"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 /// Any interleaving of kill/restore points in any OA arrival stream is
 /// invisible in the executed schedule and every counter.
 #[test]
@@ -313,7 +336,7 @@ fn oa_any_kill_interleaving_is_invisible() {
         let battered = run_oa(&events, FlowEngine::Dinic, None, |i| {
             kill_mask >> (i % 64) & 1 == 1
         });
-        assert_oa_identical(&straight, &battered);
+        assert_identical!(&straight, &battered);
     });
 }
 
@@ -326,6 +349,6 @@ fn avr_any_kill_interleaving_is_invisible() {
         let events = stream(seed, len);
         let straight = run_avr(&events, Some(0.8), |_| false);
         let battered = run_avr(&events, Some(0.8), |i| kill_mask >> (i % 64) & 1 == 1);
-        assert_avr_identical(&straight, &battered);
+        assert_identical!(&straight, &battered);
     });
 }
