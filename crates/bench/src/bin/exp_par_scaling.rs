@@ -1,31 +1,26 @@
-//! `par-scaling`: how do the two parallel hot paths scale with the worker
-//! pool, and do they stay bit-identical to their sequential oracles?
+//! `par-scaling`: how do batched solves scale with the worker pool, and do
+//! they stay bit-identical to the one-thread run?
 //!
-//! Two sections, one per `mpss-par` integration:
-//!
-//! * **(a) parallel AVR(m)** — per-interval peel + McNaughton chunked over
-//!   the pool vs the sequential loop; segments must be bit-identical at
-//!   every thread count.
-//! * **(b) batched solves** — `mpss::batch::solve_many` sharding a
-//!   directory-sized batch of independent instances.
+//! `mpss::batch::solve_many` shards a directory-sized batch of independent
+//! instances over the pool; every thread count must return the same
+//! schedules, in submission order, as one thread does.
 //!
 //! Speedups are *per machine*: a single-core container runs everything at
 //! ~1.0×, which is exactly what the table should say there — the
-//! correctness assertions (bit-identity, phase equality) are the portable
-//! part of this experiment, wall clock is not.
+//! bit-identity assertion is the portable part of this experiment, wall
+//! clock is not.
 //!
 //! Run: `cargo run -p mpss-bench --release --bin exp_par_scaling`
 //! `--smoke` shrinks every size for CI and appends a snapshot (wall time +
 //! key counters, stamped with the git revision) to the cumulative
 //! `BENCH_TRAJECTORY.json` in the working directory — gate it with
-//! `mpss-cli report-diff --bench`; a path argument writes the tables as an
+//! `mpss-cli report-diff --bench`; a path argument writes the table as an
 //! experiment JSON document.
 
 use mpss::batch::solve_many;
 use mpss_bench::{record_bench_snapshot, timed, write_experiment_report, Table};
 use mpss_obs::{Collector, RecordingCollector};
 use mpss_offline::OfflineOptions;
-use mpss_online::{avr_schedule, avr_schedule_parallel};
 use mpss_par::ThreadPool;
 use mpss_workloads::{Family, WorkloadSpec};
 use std::path::Path;
@@ -43,43 +38,8 @@ fn main() {
         "machine: {threads_available} hardware threads available \
          (speedup columns are machine-relative)\n"
     );
-    let thread_counts = [1usize, 2, 4, 8];
 
-    println!("(a) parallel AVR(m): per-interval work chunked over the pool\n");
-    let avr_n = if smoke { 200 } else { 4000 };
-    let instance = WorkloadSpec {
-        family: Family::Uniform,
-        n: avr_n,
-        m: 8,
-        horizon: 2 * avr_n as u64,
-        seed: 11,
-    }
-    .generate();
-    let (seq, seq_ms) = timed(|| avr_schedule(&instance));
-    let mut t_avr = Table::new(&["threads", "ms", "speedup", "bit-identical"]);
-    t_avr.row(vec![
-        "seq".into(),
-        format!("{seq_ms:.2}"),
-        "1.00".into(),
-        "—".into(),
-    ]);
-    for threads in thread_counts {
-        let pool = ThreadPool::new(threads);
-        let (par, ms) = timed(|| avr_schedule_parallel(&instance, &pool));
-        assert_eq!(
-            seq.segments, par.segments,
-            "parallel AVR diverged at {threads} threads"
-        );
-        t_avr.row(vec![
-            threads.to_string(),
-            format!("{ms:.2}"),
-            format!("{:.2}", seq_ms / ms.max(1e-9)),
-            "✓".into(),
-        ]);
-    }
-    t_avr.print();
-
-    println!("\n(b) batched solves: independent instances sharded over the pool\n");
+    println!("batched solves: independent instances sharded over the pool\n");
     let batch_size = if smoke { 4 } else { 16 };
     let batch_n = if smoke { 16 } else { 60 };
     let batch: Vec<_> = (0..batch_size)
@@ -107,8 +67,8 @@ fn main() {
         "1.00".into(),
         "—".into(),
     ]);
-    for threads in thread_counts.iter().skip(1) {
-        let (outputs, ms) = timed(|| solve_many(&batch, &opts, &ThreadPool::new(*threads)));
+    for threads in [2usize, 4, 8] {
+        let (outputs, ms) = timed(|| solve_many(&batch, &opts, &ThreadPool::new(threads)));
         for (a, b) in baseline.iter().zip(&outputs) {
             let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
             assert_eq!(
@@ -126,7 +86,7 @@ fn main() {
     }
     t_batch.print();
     println!(
-        "\nboth parallel paths reproduced their sequential oracles exactly;\n\
+        "\nevery thread count reproduced the one-thread schedules exactly;\n\
          speedups above are for this machine's {threads_available} hardware thread(s)."
     );
 
@@ -134,7 +94,7 @@ fn main() {
         write_experiment_report(
             Path::new(out),
             "par_scaling",
-            &[("avr_parallel", &t_avr), ("batched_solves", &t_batch)],
+            &[("batched_solves", &t_batch)],
             Some(&rec),
         )
         .expect("writing experiment report");

@@ -161,7 +161,6 @@ pub const HISTOGRAMS: &[(&str, &str)] = &[
 /// Every span name, sorted. Each span `s` implies a derived histogram
 /// `span.<s>.ms`.
 pub const SPANS: &[(&str, &str)] = &[
-    ("avr.chunk", "one AVR worker's contiguous interval chunk"),
     ("batch.solve", "one instance solved inside a batch shard"),
     ("oa.replan", "one OA arrival replan, end to end"),
     ("offline.optimal_schedule", "the whole offline solve"),

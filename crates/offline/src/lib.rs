@@ -56,14 +56,12 @@
 
 pub mod canonical;
 pub mod certificate;
-pub mod discrete;
 pub mod flow_model;
 pub mod incremental;
 pub mod lower_bounds;
 pub mod lp_baseline;
 pub mod non_migratory;
 pub mod optimal;
-pub mod sleep;
 pub mod speed_bound;
 pub mod yds;
 

@@ -22,8 +22,7 @@
 
 use mpss_core::{Instance, Intervals, Schedule, Segment};
 use mpss_numeric::FlowNum;
-use mpss_obs::{Collector, NoopCollector, TrackedCollector};
-use mpss_par::{chunk_ranges, ThreadPool};
+use mpss_obs::{Collector, NoopCollector};
 
 /// Runs AVR(m) on the event-interval partition. Works for either numeric
 /// mode; decisions are fully online (densities of active jobs only).
@@ -45,59 +44,6 @@ pub fn avr_schedule_observed<T: FlowNum, C: Collector>(
     for j in 0..intervals.len() {
         let (start, end) = intervals.bounds(j);
         schedule_interval(instance, &mut schedule, start, end, obs);
-    }
-    schedule.normalize();
-    schedule
-}
-
-/// [`avr_schedule`] with the per-interval work spread over `pool`.
-///
-/// Bit-identical to the sequential schedule: AVR's decisions in interval
-/// `I_j` depend only on the jobs active in `I_j`, so the intervals are
-/// embarrassingly parallel; each worker computes its contiguous chunk of
-/// intervals into a private segment buffer and the buffers are spliced back
-/// in interval order, reproducing the exact segment sequence the sequential
-/// loop feeds into [`Schedule::normalize`] (a stable sort).
-pub fn avr_schedule_parallel<T: FlowNum>(instance: &Instance<T>, pool: &ThreadPool) -> Schedule<T> {
-    avr_schedule_parallel_observed(instance, pool, &mut NoopCollector)
-}
-
-/// [`avr_schedule_parallel`] with an instrumentation [`Collector`].
-///
-/// Emits the same `avr.intervals` / `avr.peeled` counters as the sequential
-/// [`avr_schedule_observed`], plus `par.tasks` (chunks dispatched) and
-/// `par.pool.threads`. Each worker records onto its own forked track
-/// (`worker-0`, `worker-1`, …) wrapped in one `avr.chunk` span per chunk;
-/// [`ThreadPool::scope_map_tracked`] adopts the tracks back in worker order,
-/// so merged totals are deterministic and streaming traces show per-worker
-/// timelines.
-pub fn avr_schedule_parallel_observed<T: FlowNum, C: TrackedCollector>(
-    instance: &Instance<T>,
-    pool: &ThreadPool,
-    obs: &mut C,
-) -> Schedule<T> {
-    let intervals = Intervals::from_instance(instance);
-    // Below a few intervals per worker the splice bookkeeping costs more
-    // than it saves; fall back to the sequential loop (same output).
-    if pool.threads() <= 1 || intervals.len() < 2 * pool.threads() {
-        return avr_schedule_observed(instance, obs);
-    }
-    let chunks = chunk_ranges(intervals.len(), pool.threads());
-    obs.count("par.tasks", chunks.len() as u64);
-    obs.count("par.pool.threads", pool.threads() as u64);
-    let parts = pool.scope_map_tracked(chunks, obs, |_, range, track| {
-        track.span_start("avr.chunk");
-        let mut local = Schedule::new(instance.m);
-        for j in range {
-            let (start, end) = intervals.bounds(j);
-            schedule_interval(instance, &mut local, start, end, track);
-        }
-        track.span_end("avr.chunk");
-        local.segments
-    });
-    let mut schedule = Schedule::new(instance.m);
-    for segments in parts {
-        schedule.segments.extend(segments);
     }
     schedule.normalize();
     schedule
@@ -368,55 +314,6 @@ mod tests {
         assert_eq!(rec.counter("avr.intervals"), 1);
         assert_eq!(rec.counter("avr.peeled"), 1);
         assert_eq!(s.segments, avr_schedule(&ins).segments);
-    }
-
-    #[test]
-    fn parallel_avr_is_bit_identical_to_sequential() {
-        for seed in 0..30u64 {
-            let ins =
-                random_int_instance(4 + (seed as usize % 8), 1 + (seed as usize % 4), 16, seed);
-            let seq = avr_schedule(&ins);
-            for threads in [1, 2, 4, 8] {
-                let pool = ThreadPool::new(threads);
-                let par = avr_schedule_parallel(&ins, &pool);
-                assert_eq!(
-                    seq.segments, par.segments,
-                    "seed {seed}, {threads} threads: parallel AVR diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_avr_merges_worker_tallies() {
-        use mpss_obs::RecordingCollector;
-        let ins = random_int_instance(10, 3, 20, 7);
-        let mut seq_rec = RecordingCollector::new();
-        avr_schedule_observed(&ins, &mut seq_rec);
-        let mut par_rec = RecordingCollector::new();
-        let pool = ThreadPool::new(4);
-        avr_schedule_parallel_observed(&ins, &pool, &mut par_rec);
-        assert_eq!(
-            seq_rec.counter("avr.intervals"),
-            par_rec.counter("avr.intervals")
-        );
-        assert_eq!(seq_rec.counter("avr.peeled"), par_rec.counter("avr.peeled"));
-        assert_eq!(par_rec.counter("par.pool.threads"), 4);
-        assert!(par_rec.counter("par.tasks") >= 1);
-    }
-
-    #[test]
-    fn parallel_avr_exact_rational() {
-        let ins: Instance<Rational> = {
-            let jobs = (0..12i128)
-                .map(|k| job(rat(k, 2), rat(k + 3, 2), rat(1 + (k % 4) * 2, 1 + (k % 3))))
-                .collect();
-            Instance::new(2, jobs).unwrap()
-        };
-        let seq = avr_schedule(&ins);
-        let par = avr_schedule_parallel(&ins, &ThreadPool::new(3));
-        assert_eq!(seq.segments, par.segments);
-        assert_feasible(&ins, &par, 0.0);
     }
 
     #[test]

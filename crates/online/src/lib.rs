@@ -69,10 +69,7 @@ pub mod session;
 pub mod session_core;
 pub mod session_metrics;
 
-pub use avr::{
-    avr_schedule, avr_schedule_observed, avr_schedule_parallel, avr_schedule_parallel_observed,
-    avr_schedule_unit,
-};
+pub use avr::{avr_schedule, avr_schedule_observed, avr_schedule_unit};
 pub use avr_analysis::{avr_proof_terms, AvrProofTerms};
 pub use avr_session::AvrSession;
 pub use bkp::bkp_schedule;

@@ -1,12 +1,11 @@
 //! Deterministic scoped-thread parallelism for the `mpss` workspace.
 //!
-//! The workspace's hot paths are embarrassingly parallel at two different
-//! granularities — independent *instances* (the batched serving shape) and
-//! independent *intervals* (AVR(m)'s per-interval peel + wrap-around) —
-//! yet neither may change a single output byte when parallelised. This
-//! crate provides the primitive both share, built on `std` only (the build
-//! environment is offline; like `mpss-numeric` and `mpss-obs`, it depends
-//! on nothing outside the standard library):
+//! Two paths in the workspace fan out over independent items — the
+//! *instances* of a batched solve and the *tenants* of the daemon's
+//! broadcast advance — yet neither may change a single output byte when
+//! parallelised. This crate provides the primitive both share, built on
+//! `std` only (like `mpss-numeric` and `mpss-obs`, it depends on nothing
+//! outside the standard library):
 //! [`ThreadPool`] with [`ThreadPool::scope_map`] fans a `Vec` of items over
 //! scoped worker threads and joins **in submission order**, whatever order
 //! the workers finish in. With one thread (or one item) it degrades to the
@@ -16,8 +15,8 @@
 //! Thread-count policy lives here too: [`ThreadPool::from_env`] reads the
 //! `MPSS_THREADS` environment variable and falls back to
 //! [`std::thread::available_parallelism`], and every consumer (CLI
-//! `--threads`, batch API, experiment harness) routes through it so one
-//! knob controls the whole workspace.
+//! `--threads`, batch API, daemon, experiment harness) routes through it so
+//! one knob controls the whole workspace.
 //!
 //! ```
 //! use mpss_par::ThreadPool;
@@ -29,4 +28,4 @@
 
 mod pool;
 
-pub use pool::{chunk_ranges, ThreadPool};
+pub use pool::ThreadPool;

@@ -2,7 +2,6 @@
 
 use mpss_obs::{Collector, TrackedCollector};
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -225,27 +224,6 @@ impl Default for ThreadPool {
     }
 }
 
-/// Splits `0..n` into at most `parts` contiguous ranges whose lengths
-/// differ by at most one — the canonical work split for index-addressed
-/// data (AVR's interval list). Deterministic in `n` and `parts` alone.
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    if n == 0 {
-        return Vec::new();
-    }
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,22 +277,6 @@ mod tests {
         let seq = ThreadPool::new(1).scope_map(items.clone(), |x| x.wrapping_mul(2654435761));
         let par = ThreadPool::new(7).scope_map(items, |x| x.wrapping_mul(2654435761));
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly_once() {
-        for n in 0..40 {
-            for parts in 1..10 {
-                let ranges = chunk_ranges(n, parts);
-                let covered: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
-                if n > 0 {
-                    let max = ranges.iter().map(|r| r.len()).max().unwrap();
-                    let min = ranges.iter().map(|r| r.len()).min().unwrap();
-                    assert!(max - min <= 1, "uneven split: n={n} parts={parts}");
-                }
-            }
-        }
     }
 
     #[test]

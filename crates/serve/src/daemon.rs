@@ -930,24 +930,18 @@ impl Daemon {
                 1
             }
             None => {
-                // Fan every tenant out over the pool; sessions move into the
-                // workers and come back in submission (= sorted-name) order.
+                // Fan every tenant out over the pool, advanced in place;
+                // results come back in submission (= sorted-name) order.
                 let window = self.config.compact_window;
-                let entries: Vec<(String, Tenant)> =
-                    std::mem::take(&mut self.tenants).into_iter().collect();
-                let count = entries.len();
-                let done = self.pool.scope_map(entries, |(name, mut t)| {
-                    let result = t.session.advance_to(to, window);
-                    (name, t, result)
+                let tenants: Vec<(&String, &mut Tenant)> = self.tenants.iter_mut().collect();
+                let count = tenants.len();
+                let results = self.pool.scope_map(tenants, |(name, t)| {
+                    t.session.advance_to(to, window).map_err(|e| (name, e))
                 });
-                let mut first_error = None;
-                for (name, t, result) in done {
-                    if let (Err(e), None) = (result, &first_error) {
-                        let (kind, message) = session_error(e);
-                        first_error = Some((kind, format!("tenant `{name}`: {message}")));
-                    }
-                    self.tenants.insert(name, t);
-                }
+                let first_error = results.into_iter().find_map(Result::err).map(|(name, e)| {
+                    let (kind, message) = session_error(e);
+                    (kind, format!("tenant `{name}`: {message}"))
+                });
                 if let Some((kind, message)) = first_error {
                     return self.fail("advance", kind, message);
                 }

@@ -32,6 +32,6 @@ pub mod stats;
 pub mod trace;
 
 pub use families::{Family, WorkloadSpec};
-pub use perturb::{jitter_releases, scale_slack, split_jobs};
+pub use perturb::{scale_slack, split_jobs};
 pub use stats::{instance_stats, InstanceStats};
 pub use trace::{read_trace, write_trace};

@@ -1,30 +1,8 @@
-//! Trace perturbation: controlled mutations of instances for robustness
-//! testing and what-if analysis (how much does the optimum move if releases
-//! jitter, deadlines tighten, or load grows?).
+//! Trace perturbation: controlled mutations of instances for the
+//! monotonicity oracles (splitting jobs or relaxing windows never raises
+//! the optimum).
 
 use mpss_core::{Instance, Job};
-use mpss_numeric::rng::Rng;
-
-/// Jitters every release time by a uniform offset in `[−amount, +amount]`,
-/// clamped so every job keeps at least half its original window (deadlines
-/// are fixed). Without the half-window floor, large jitter would collapse
-/// windows to slivers and blow densities (and optimal energy) up by orders
-/// of magnitude — a measurement artifact, not a robustness signal.
-pub fn jitter_releases(instance: &Instance<f64>, amount: f64, seed: u64) -> Instance<f64> {
-    assert!(amount >= 0.0);
-    let mut rng = Rng::seed_from_u64(seed);
-    let jobs = instance
-        .jobs
-        .iter()
-        .map(|j| {
-            let offset = rng.gen_range(-amount..=amount);
-            let latest = j.deadline - 0.5 * j.window();
-            let r = (j.release + offset).max(0.0).min(latest);
-            Job::new(r, j.deadline, j.volume)
-        })
-        .collect();
-    Instance::new(instance.m, jobs).expect("jitter preserves validity")
-}
 
 /// Multiplies every window's slack around its midpoint by `factor`
 /// (`factor < 1` tightens deadlines and releases symmetrically, `> 1`
@@ -74,28 +52,6 @@ mod tests {
             seed: 1,
         }
         .generate()
-    }
-
-    #[test]
-    fn jitter_keeps_windows_valid_and_is_deterministic() {
-        let ins = base();
-        let a = jitter_releases(&ins, 2.0, 9);
-        let b = jitter_releases(&ins, 2.0, 9);
-        assert_eq!(a, b);
-        for (orig, new) in ins.jobs.iter().zip(&a.jobs) {
-            assert!(new.release < new.deadline);
-            assert_eq!(new.deadline, orig.deadline);
-            assert!((new.release - orig.release).abs() <= 2.0 + 1e-9);
-            // The half-window floor held.
-            assert!(new.window() >= 0.5 * orig.window() - 1e-12);
-        }
-        assert_ne!(a, ins, "jitter of 2.0 should move something");
-    }
-
-    #[test]
-    fn zero_jitter_is_identity_up_to_clamping() {
-        let ins = base();
-        assert_eq!(jitter_releases(&ins, 0.0, 4), ins);
     }
 
     #[test]

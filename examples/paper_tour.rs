@@ -90,31 +90,10 @@ fn main() {
         terms.ineq_9()
     );
 
-    println!("\n== §4: conclusion's extensions, implemented ====================");
+    println!("\n== bounded speed (cited in Previous Work) ======================");
     println!(
         "  min feasible peak speed  : {:.4} (= s₁)",
         mpss::offline::speed_bound::minimum_peak_speed(&instance)
-    );
-    let menu: Vec<f64> = (1..=8).map(|q| 6.0 * q as f64 / 8.0).collect();
-    let disc = discretize_speeds(&opt.schedule, &menu).unwrap();
-    println!(
-        "  8-level frequency menu   : E[s³] = {:.4} ({:+.2}% vs continuous)",
-        schedule_energy(&disc, &p),
-        100.0 * (schedule_energy(&disc, &p) - e_opt) / e_opt
-    );
-    let sleep = mpss::offline::sleep::sleep_energy(
-        &opt.schedule,
-        &p,
-        0.3,
-        1.0,
-        0.0,
-        8.0,
-        mpss::offline::sleep::IdlePolicy::Threshold,
-    );
-    println!(
-        "  sleep-state layer        : total {:.4} ({} wakeups)",
-        sleep.total(),
-        sleep.num_wakeups
     );
     println!("\ntour complete — every number above is covered by the test-suite.");
 }

@@ -4,7 +4,7 @@
 //! mpss-cli generate --family uniform --n 20 --m 4 [--horizon 48] [--seed 1] -o trace.json
 //! mpss-cli solve trace.json [--alpha 3] [--gantt] [--cold-flow] [--save-schedule out.json] [--report out.json]
 //! mpss-cli solve-batch --dir traces/ [--alpha 3] [--threads N] [--report-dir reports/]
-//! mpss-cli online trace.json --algo oa|avr|bkp [--alpha 3] [--threads N] [--report out.json]
+//! mpss-cli online trace.json --algo oa|avr|bkp [--alpha 3] [--report out.json]
 //! mpss-cli bounds trace.json [--alpha 3]
 //! mpss-cli check trace.json schedule.json
 //! mpss-cli report-diff a.report.json b.report.json [--max-regress 5] [--only offline.] [--gate-wall]
@@ -57,12 +57,12 @@
 //! the embedded checkpoint through a fresh session to prove the tenant's
 //! plan is reproduced bit-identically.
 //!
-//! Parallelism: `--threads N` sizes the worker pool of `solve-batch`,
-//! `online --algo avr` and `serve` explicitly; without it the
-//! `MPSS_THREADS` environment variable, then the machine's available
-//! parallelism, decide. The pool reports its effective size itself, as the
-//! `par.pool.threads` counter, so a `--report` carries it exactly when the
-//! run fanned out over the pool (`online --algo avr`).
+//! Parallelism: `--threads N` sizes the worker pool of `solve-batch` (one
+//! instance per task) and `serve` (broadcast advances, one tenant per
+//! task) explicitly; without it the `MPSS_THREADS` environment variable,
+//! then the machine's available parallelism, decide. `solve` and `online`
+//! run on one thread. `solve-batch` prints the pool's effective size, and
+//! its `--trace` carries it as the `par.pool.threads` counter.
 
 use mpss::prelude::*;
 use mpss::sim::{fleet_stats, job_stats, render_gantt, render_svg, SvgOptions};
@@ -109,7 +109,7 @@ fn print_usage() {
          \u{20}  mpss-cli generate --family <name> --n <jobs> --m <procs> [--horizon H] [--seed S] -o <trace.json>\n\
          \u{20}  mpss-cli solve <trace.json> [--alpha A] [--gantt] [--cold-flow] [--save-schedule <out.json>] [--svg <out.svg>] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
          \u{20}  mpss-cli solve-batch --dir <traces/> [--alpha A] [--threads N] [--cold-flow] [--report-dir <reports/>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
-         \u{20}  mpss-cli online <trace.json> --algo <oa|avr|bkp> [--alpha A] [--threads N] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
+         \u{20}  mpss-cli online <trace.json> --algo <oa|avr|bkp> [--alpha A] [--report <out.json>] [--trace <out.trace.json>] [--flame <out.folded>]\n\
          \u{20}  mpss-cli bounds <trace.json> [--alpha A]\n\
          \u{20}  mpss-cli stats <trace.json> [--alpha A]\n\
          \u{20}  mpss-cli check <trace.json> <schedule.json>\n\
@@ -434,7 +434,7 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_online(args: &[String]) -> Result<(), String> {
-    let a = parse(args, "algo alpha threads report trace flame", "")?;
+    let a = parse(args, "algo alpha report trace flame", "")?;
     let path = a.positional.first().ok_or("trace path required")?;
     let instance = load(path)?;
     let alpha = a.alpha()?;
@@ -456,12 +456,10 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
             (oa.schedule, p.oa_bound(), "OA(m)")
         }
         "avr" => {
-            let pool = ThreadPool::with_threads(a.threads()?);
             let avr = if observing {
-                let mut tee = Tee(&mut rec, &mut trace);
-                avr_schedule_parallel_observed(&instance, &pool, &mut tee)
+                avr_schedule_observed(&instance, &mut Tee(&mut rec, &mut trace))
             } else {
-                avr_schedule_parallel(&instance, &pool)
+                avr_schedule(&instance)
             };
             (avr, p.avr_bound(), "AVR(m)")
         }

@@ -71,7 +71,6 @@ pub mod prelude {
     };
     pub use mpss_offline::canonical::canonicalize;
     pub use mpss_offline::certificate::verify_certificate;
-    pub use mpss_offline::discrete::discretize_speeds;
     pub use mpss_offline::lower_bounds::{best_lower_bound, per_job_lower_bound};
     pub use mpss_offline::lp_baseline::lp_baseline;
     pub use mpss_offline::non_migratory::{non_migratory_schedule, AssignPolicy};
@@ -81,10 +80,10 @@ pub mod prelude {
         FlowEngine, OfflineOptions, SeedPlan,
     };
     pub use mpss_online::{
-        audit_oa_potential, avr_proof_terms, avr_schedule, avr_schedule_observed,
-        avr_schedule_parallel, avr_schedule_parallel_observed, bkp_schedule, competitive_report,
-        competitive_report_observed, oa_schedule, oa_schedule_observed, record_energy_trajectory,
-        AvrCheckpoint, AvrSession, OaCheckpoint, OaSession, SessionError, SessionMetrics,
+        audit_oa_potential, avr_proof_terms, avr_schedule, avr_schedule_observed, bkp_schedule,
+        competitive_report, competitive_report_observed, oa_schedule, oa_schedule_observed,
+        record_energy_trajectory, AvrCheckpoint, AvrSession, OaCheckpoint, OaSession, SessionError,
+        SessionMetrics,
     };
     pub use mpss_par::ThreadPool;
     pub use mpss_serve::{serve_tcp, Daemon, DaemonConfig};

@@ -1,7 +1,7 @@
-//! Determinism of the `mpss-par` hot paths: every parallel entry point must
-//! be a pure work optimisation, producing bit-identical output to its
-//! sequential oracle at any thread count — including in exact rational
-//! arithmetic on the golden corpus, on either engine, warm or cold.
+//! Determinism of batched solves over the `mpss-par` pool: sharding must be
+//! a pure work optimisation, producing bit-identical output to solo solves
+//! at any thread count — including in exact rational arithmetic on the
+//! golden corpus, on either engine, warm or cold.
 
 use mpss::numeric::rational::rat;
 use mpss::numeric::rng::{check, Rng};
@@ -19,27 +19,6 @@ fn random_instance(n: usize, m: usize, seed: u64) -> Instance<f64> {
         })
         .collect();
     Instance::new(m, jobs).unwrap()
-}
-
-/// Parallel AVR is bit-identical to the sequential loop at every thread
-/// count: chunking per-interval work and splicing in order must not
-/// change a single segment.
-#[test]
-fn parallel_avr_is_bit_identical() {
-    check(128, |rng| {
-        let (seed, n) = (rng.gen_range(0..1_000_000), rng.gen_range(2..40));
-        let m = rng.gen_range(1..7);
-        let ins = random_instance(n, m, seed);
-        let seq = avr_schedule(&ins);
-        for threads in [1usize, 2, 3, 8] {
-            let par = avr_schedule_parallel(&ins, &ThreadPool::new(threads));
-            assert_eq!(
-                &seq.segments, &par.segments,
-                "AVR diverged at {} threads",
-                threads
-            );
-        }
-    });
 }
 
 /// Batched solves shard over the pool but return outputs in submission
@@ -69,7 +48,7 @@ fn batched_solves_match_solo_in_order() {
 /// and exact energies. Every maximum flow shares its value and Lemma 4's
 /// canonical min cut, so the engine choice is a pure work optimisation.
 #[test]
-fn golden_corpus_racing_equals_single_engine() {
+fn golden_corpus_batched_engines_match_solo_cold_dinic() {
     let fig2: Instance<Rational> = Instance::new(
         2,
         vec![
@@ -167,21 +146,16 @@ fn golden_corpus_racing_equals_single_engine() {
     }
 }
 
-/// The pool honours explicit sizes and `MPSS_THREADS`, and both the batch
-/// API and parallel AVR report the effective pool width via obs counters.
+/// The pool honours explicit sizes, and the batch API reports the
+/// effective pool width and the tasks it dispatched via obs counters.
 #[test]
 fn pool_width_is_observable() {
-    let ins = random_instance(30, 4, 3);
     let pool = ThreadPool::new(4);
     assert_eq!(pool.threads(), 4);
-    let mut rec = RecordingCollector::new();
-    let _ = avr_schedule_parallel_observed(&ins, &pool, &mut rec);
-    assert_eq!(rec.counter("par.pool.threads"), 4);
-    assert!(rec.counter("par.tasks") >= 1);
-
     let batch = vec![random_instance(4, 2, 1), random_instance(5, 2, 2)];
     let mut rec = RecordingCollector::new();
     let outs = solve_many_observed(&batch, &OfflineOptions::default(), &pool, &mut rec);
     assert_eq!(outs.len(), 2);
+    assert_eq!(rec.counter("par.pool.threads"), 4);
     assert_eq!(rec.counter("par.tasks"), 2);
 }

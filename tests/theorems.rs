@@ -91,6 +91,35 @@ fn theorem1_universal_optimality_power_function_free() {
     }
 }
 
+#[test]
+fn theorem1_energy_equals_the_lp_under_its_menu_interpolant() {
+    // Fig. 2 is optimal for every convex non-decreasing P, so also for the
+    // piecewise-linear interpolant of P through the LP's speed menu (0 and
+    // s_max·q/k, topped by the YDS peak), whose optimum is exactly the LP's.
+    // An equality between two solvers that share no machinery.
+    mpss::numeric::rng::check(64, |rng| {
+        let (n, m) = (rng.gen_range(2..=6usize), rng.gen_range(1..=3usize));
+        let jobs = (0..n)
+            .map(|_| {
+                let r = rng.gen_range(0..10u32);
+                let d = rng.gen_range(r + 1..=10);
+                job(r as f64, d as f64, rng.gen_range(1..=6u32) as f64)
+            })
+            .collect();
+        let instance = Instance::new(m, jobs).unwrap();
+        let k = *rng.choose(&[6, 12, 24]);
+        let p = Polynomial::new(*rng.choose(&[2.0, 3.0]));
+        let s_max = yds_schedule(&instance).speeds[0];
+        let opt = optimal_schedule(&instance).unwrap();
+        let mine = schedule_energy(&opt.schedule, &PiecewiseLinear::sample(&p, s_max, k));
+        let lp = lp_baseline(&instance, &p, k).unwrap().energy;
+        assert!(
+            (mine - lp).abs() <= 1e-9 * lp,
+            "n = {n}, m = {m}, k = {k}: Fig. 2 {mine} vs LP {lp}"
+        );
+    });
+}
+
 // ---------------------------------------------------------------- Theorem 2
 
 #[test]

@@ -146,12 +146,12 @@ fn manifest_covers_everything_the_stack_emits() {
         ..Default::default()
     };
     optimal_schedule_observed(&instance, &cold, &mut rec).unwrap();
-    // Online: OA with trajectory + competitive report, parallel AVR.
+    // Online: OA with trajectory + competitive report, AVR.
     let oa = oa_schedule_observed(&instance, &mut rec).unwrap();
     let p = Polynomial::new(3.0);
     record_energy_trajectory(&oa.schedule, &p, &mut rec);
     competitive_report_observed(&instance, &oa.schedule, &p, p.oa_bound(), &mut rec).unwrap();
-    avr_schedule_parallel_observed(&instance, &ThreadPool::new(2), &mut rec);
+    avr_schedule_observed(&instance, &mut rec);
     // Batch over the pool.
     let batch = vec![instance.clone(), instance.clone()];
     solve_many_observed(&batch, &opts, &ThreadPool::new(2), &mut rec);
