@@ -2,10 +2,8 @@
 //!
 //! Energy is power integrated over time; for a piecewise-constant-speed
 //! [`Schedule`] it is the finite sum `Σ P(speed_k) · duration_k` over
-//! segments. Idle processors draw `P(0)` — for the classical `P(s) = s^α`
-//! that is zero, but for power functions with static power (`P(0) > 0`) the
-//! idle term matters, so [`schedule_energy_with_idle`] accounts it over an
-//! explicit horizon.
+//! segments. Idle time is not charged, which is exact for power functions
+//! with `P(0) = 0` such as the classical `P(s) = s^α`.
 
 use crate::{PowerFunction, Schedule};
 use mpss_numeric::{FlowNum, KahanLanes, Rational};
@@ -19,26 +17,6 @@ pub fn schedule_energy(schedule: &Schedule<f64>, p: &impl PowerFunction) -> f64 
     for s in &schedule.segments {
         sum.add(p.power(s.speed) * s.duration());
     }
-    sum.value()
-}
-
-/// Energy of `schedule` under `p`, charging every processor `P(0)` while
-/// idle within `[t0, t1)`.
-pub fn schedule_energy_with_idle(
-    schedule: &Schedule<f64>,
-    p: &impl PowerFunction,
-    t0: f64,
-    t1: f64,
-) -> f64 {
-    let idle_power = p.power(0.0);
-    let mut sum = KahanLanes::new();
-    let mut busy = KahanLanes::new();
-    for s in &schedule.segments {
-        sum.add(p.power(s.speed) * s.duration());
-        busy.add(s.duration());
-    }
-    let total_proc_time = (t1 - t0) * schedule.m as f64;
-    sum.add(idle_power * (total_proc_time - busy.value()).max(0.0));
     sum.value()
 }
 
@@ -74,7 +52,7 @@ pub fn schedule_energy_poly<T: FlowNum>(schedule: &Schedule<T>, alpha: u32) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::{AffinePolynomial, Polynomial};
+    use crate::power::Polynomial;
     use crate::Segment;
     use mpss_numeric::rational::rat;
 
@@ -104,15 +82,6 @@ mod tests {
             schedule_energy(&simple_schedule(), &Polynomial::new(2.0)),
             22.0
         );
-    }
-
-    #[test]
-    fn energy_with_static_idle_power() {
-        // P(s) = s² + 1: busy 22 + busy-time static (2+1) and idle (2·4 − 3) = 5 idle units.
-        let p = AffinePolynomial::new(1.0, 2.0, 0.0, 1.0);
-        let e = schedule_energy_with_idle(&simple_schedule(), &p, 0.0, 4.0);
-        // Busy energy: (9+1)*2 + (4+1)*1 = 25; idle: 5 * 1 = 5.
-        assert!((e - 30.0).abs() < 1e-12, "e = {e}");
     }
 
     #[test]

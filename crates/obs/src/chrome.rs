@@ -6,7 +6,7 @@
 //! span pairs, `"i"` instants, `"C"` counter samples, `"M"` metadata),
 //! `pid`/`tid` coordinates, and a timestamp in *microseconds*. Every trace
 //! track maps to one `tid` under `pid` 1, named via `thread_name` metadata
-//! events — so pool workers and batch shards render as separate rows on
+//! events — so each instance of a batched solve renders as its own row on
 //! the shared time axis.
 
 use crate::json::{Json, ParseError};
@@ -254,7 +254,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 mod tests {
     use super::*;
     use crate::Collector;
-    use crate::TrackedCollector;
 
     fn sample_trace() -> TraceCollector {
         let mut t = TraceCollector::new("main");

@@ -11,10 +11,8 @@
 //!
 //! * the ring never holds more than `capacity` events;
 //! * `recorded_total == len() + dropped_total` at all times — every event
-//!   ever recorded is either still in the ring or counted as dropped
-//!   (capacity evictions and explicit
-//!   [`compact_before_seq`](FlightRecorder::compact_before_seq) both
-//!   count);
+//!   ever recorded is either still in the ring or was evicted by a record
+//!   into a full ring, and counted as dropped;
 //! * events carry a strictly increasing sequence number and a monotonic
 //!   timestamp, so a dumped ring is always in order.
 //!
@@ -205,15 +203,6 @@ impl FlightRecorder {
         seq
     }
 
-    /// Drops every retained event with `seq < seq_bound`, counting them as
-    /// dropped. Used after a bundle dump to avoid re-dumping the same tail.
-    pub fn compact_before_seq(&mut self, seq_bound: u64) {
-        while self.ring.front().is_some_and(|e| e.seq < seq_bound) {
-            self.ring.pop_front();
-            self.dropped_total += 1;
-        }
-    }
-
     /// Retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
         self.ring.iter()
@@ -234,7 +223,7 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Events evicted (by capacity or compaction), ever.
+    /// Events evicted by capacity, ever.
     pub fn dropped_total(&self) -> u64 {
         self.dropped_total
     }
@@ -292,23 +281,6 @@ mod tests {
             assert!(pair[0].seq < pair[1].seq);
             assert!(pair[0].ts_ns <= pair[1].ts_ns);
         }
-    }
-
-    #[test]
-    fn compaction_counts_into_dropped_total() {
-        let mut flight = FlightRecorder::new(8);
-        for _ in 0..5 {
-            flight.record(FlightEventKind::request("arrive", true, None));
-        }
-        flight.compact_before_seq(3);
-        assert_eq!(flight.len(), 2);
-        assert_eq!(flight.dropped_total(), 3);
-        assert_eq!(flight.recorded_total(), 5);
-        // A bound past the end empties the ring but invents nothing.
-        flight.compact_before_seq(100);
-        assert!(flight.is_empty());
-        assert_eq!(flight.dropped_total(), 5);
-        assert_eq!(flight.recorded_total(), 5);
     }
 
     #[test]

@@ -98,29 +98,6 @@ impl Histogram {
         sorted[rank.min(sorted.len() - 1)]
     }
 
-    /// Merges another histogram into this one. Count/sum/min/max stay exact;
-    /// retained samples are concatenated (up to
-    /// [`SAMPLE_CAP`](Histogram::SAMPLE_CAP)), so as long as neither side hit
-    /// the cap the merged quantiles equal a solo run over the union — the
-    /// property the per-worker track merge relies on.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        let room = Self::SAMPLE_CAP.saturating_sub(self.samples.len());
-        self.samples
-            .extend(other.samples.iter().take(room).copied());
-    }
-
     /// Snapshot of all aggregates.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
@@ -199,57 +176,6 @@ mod tests {
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 7.5);
         }
-    }
-
-    #[test]
-    fn merge_equals_solo_recording_below_the_cap() {
-        // Split one observation stream across two "worker" histograms;
-        // merging them must reproduce the solo histogram exactly.
-        let values: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64).collect();
-        let mut solo = Histogram::new();
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for (i, &v) in values.iter().enumerate() {
-            solo.record(v);
-            if i < 80 { &mut a } else { &mut b }.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), solo.count());
-        assert_eq!(a.summary().min, solo.summary().min);
-        assert_eq!(a.summary().max, solo.summary().max);
-        // Same multiset of samples ⇒ identical nearest-rank quantiles.
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), solo.quantile(q), "q={q}");
-        }
-        // Sum may differ only by FP association order.
-        assert!((a.sum() - solo.sum()).abs() <= 1e-9 * solo.sum().abs().max(1.0));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut h = Histogram::new();
-        h.record(1.0);
-        h.record(2.0);
-        let before = h.summary();
-        h.merge(&Histogram::new());
-        assert_eq!(h.summary(), before);
-        let mut empty = Histogram::new();
-        empty.merge(&h);
-        assert_eq!(empty.summary(), before);
-    }
-
-    #[test]
-    fn merge_respects_the_sample_cap() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for i in 0..Histogram::SAMPLE_CAP {
-            a.record(i as f64);
-            b.record(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 2 * Histogram::SAMPLE_CAP as u64);
-        // Moments stay exact even though samples were truncated.
-        assert_eq!(a.summary().max, (Histogram::SAMPLE_CAP - 1) as f64);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! * [`NoopCollector`] — the statically-dispatched default. All methods inline
 //!   to nothing; code generic over `C: Collector` instantiated with it
 //!   compiles to exactly the uninstrumented loop.
-//! * [`RecordingCollector`] — records the full span tree, counters, and
-//!   histograms, and serializes them to a JSON run report.
+//! * [`TraceCollector`] — records the ordered event stream, one track per
+//!   lane, for Chrome Trace Event and collapsed-stack export.
+//! * [`RecordingCollector`] — the span tree, counters, and histograms of a
+//!   run, serialized as a JSON run report. It records live, or folds a
+//!   finished trace ([`RecordingCollector::from_trace`]): an observed CLI
+//!   run records once, into a trace, and its report is that trace's fold.
 //!
 //! Like `mpss-numeric` hand-rolls Kahan summation, this crate hand-rolls its
 //! own histogram and JSON emitter ([`json`]): the build environment is
@@ -65,8 +69,8 @@ pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use hist::{Histogram, HistogramSummary};
 pub use log::{Level, LogRecord, LogSink, Logger, RingSink, StderrSink};
 pub use metrics::{
-    Counter, Gauge, MetricKind, MetricsCollector, MetricsHub, RingSampler, SnapshotRow,
-    SnapshotValue, WindowHistogram,
+    Counter, Gauge, MetricKind, MetricsHub, RingSampler, SnapshotRow, SnapshotValue,
+    WindowHistogram,
 };
 pub use record::{RecordingCollector, SpanNode, SPAN_MISMATCH_COUNTER, SPAN_UNCLOSED_COUNTER};
 pub use serve::{http_get, MetricsServer};
@@ -126,47 +130,6 @@ pub struct NoopCollector;
 
 impl Collector for NoopCollector {}
 
-/// A [`Collector`] whose events can also be recorded from parallel workers,
-/// each on its own named *track*.
-///
-/// `Collector` is deliberately `&mut self` state — workers cannot share it.
-/// Instead the orchestrating thread [`fork`](TrackedCollector::fork)s one
-/// track handle per worker (per pool worker, per batch shard), moves each
-/// handle into its worker, and [`adopt`](TrackedCollector::adopt)s them back
-/// after the join **in submission order**, which makes the merged counters
-/// and histograms deterministic whatever order the workers finished in.
-/// Track handles are full collectors, so nested fan-out (a pool inside a
-/// batch shard) forks again from the handle — hence `Track:
-/// TrackedCollector`.
-///
-/// Forking is an orchestration point, not an instrumentation point: it may
-/// allocate (the name is a `&str`, not `&'static str`) because it happens
-/// once per worker, never per event.
-pub trait TrackedCollector: Collector {
-    /// The per-worker handle type. For aggregating collectors this is the
-    /// collector itself; for [`NoopCollector`] it is another noop.
-    type Track: TrackedCollector + Send;
-
-    /// Creates an empty collector for a parallel track named `name`.
-    fn fork(&mut self, name: &str) -> Self::Track;
-
-    /// Merges a forked track's recordings back into `self`. Call once per
-    /// fork, after the worker joined, in submission order.
-    fn adopt(&mut self, track: Self::Track);
-}
-
-impl TrackedCollector for NoopCollector {
-    type Track = NoopCollector;
-
-    #[inline(always)]
-    fn fork(&mut self, _name: &str) -> NoopCollector {
-        NoopCollector
-    }
-
-    #[inline(always)]
-    fn adopt(&mut self, _track: NoopCollector) {}
-}
-
 impl<C: Collector + ?Sized> Collector for &mut C {
     #[inline(always)]
     fn span_start(&mut self, name: &'static str) {
@@ -191,69 +154,6 @@ impl<C: Collector + ?Sized> Collector for &mut C {
     #[inline(always)]
     fn enabled(&self) -> bool {
         (**self).enabled()
-    }
-}
-
-impl<C: TrackedCollector> TrackedCollector for &mut C {
-    type Track = C::Track;
-
-    fn fork(&mut self, name: &str) -> C::Track {
-        (**self).fork(name)
-    }
-
-    fn adopt(&mut self, track: C::Track) {
-        (**self).adopt(track);
-    }
-}
-
-/// Fans every event out to two collectors — e.g. a streaming
-/// [`TraceCollector`] *and* an aggregating [`RecordingCollector`] observing
-/// the same run. Forking forks both sides; adopting splits the pair back.
-#[derive(Debug, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Collector, B: Collector> Collector for Tee<A, B> {
-    #[inline(always)]
-    fn span_start(&mut self, name: &'static str) {
-        self.0.span_start(name);
-        self.1.span_start(name);
-    }
-    #[inline(always)]
-    fn span_end(&mut self, name: &'static str) {
-        self.0.span_end(name);
-        self.1.span_end(name);
-    }
-    #[inline(always)]
-    fn count(&mut self, counter: &'static str, by: u64) {
-        self.0.count(counter, by);
-        self.1.count(counter, by);
-    }
-    #[inline(always)]
-    fn observe(&mut self, histogram: &'static str, value: f64) {
-        self.0.observe(histogram, value);
-        self.1.observe(histogram, value);
-    }
-    #[inline(always)]
-    fn instant(&mut self, name: &'static str) {
-        self.0.instant(name);
-        self.1.instant(name);
-    }
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-}
-
-impl<A: TrackedCollector, B: TrackedCollector> TrackedCollector for Tee<A, B> {
-    type Track = Tee<A::Track, B::Track>;
-
-    fn fork(&mut self, name: &str) -> Self::Track {
-        Tee(self.0.fork(name), self.1.fork(name))
-    }
-
-    fn adopt(&mut self, track: Self::Track) {
-        self.0.adopt(track.0);
-        self.1.adopt(track.1);
     }
 }
 

@@ -18,10 +18,10 @@
 //!   cumulative bucket counts, plus a fixed-capacity [`RingSampler`] of the
 //!   most recent observations for live quantiles — a process that runs for a
 //!   year holds exactly as much metric state as one that runs for a second.
-//! * **Zero overhead when off.** Nothing here touches the [`Collector`]
-//!   hot path: instrumented code stays generic over `C: Collector`, and the
-//!   [`MetricsCollector`] bridge is just one more collector to `Tee` in —
-//!   runs without it are byte-identical to before.
+//! * **Zero overhead when off.** Nothing here touches the
+//!   [`Collector`](crate::Collector) hot path: sessions publish into a hub
+//!   only when one is attached, and instrumented code stays generic over
+//!   `C: Collector`.
 //!
 //! The exposition format is the Prometheus text format (version 0.0.4):
 //! `# HELP` / `# TYPE` comments, `name{label="value"} 123` samples, and
@@ -30,12 +30,10 @@
 //! live endpoint against the parser and the
 //! [`names`](crate::names::known_metric) manifest.
 
-use crate::{Collector, TrackedCollector};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Default histogram bucket upper bounds, in seconds: latency-shaped,
 /// spanning 250 µs to 10 s. Callers measuring other units pass their own
@@ -603,131 +601,6 @@ impl MetricsHub {
     }
 }
 
-/// A [`Collector`] that forwards instrumentation events into a
-/// [`MetricsHub`] — the bridge that lights up live `/metrics` for the whole
-/// already-instrumented stack without touching a single call site.
-///
-/// Mapping (names sanitized by [`names::prom_counter`](crate::names::prom_counter)
-/// and friends: `.` → `_`, `mpss_` prefix):
-///
-/// * `count("offline.phases", n)` → counter
-///   `mpss_offline_phases_total{track="…"}`;
-/// * `instant(name)` → the same-named counter, incremented by 1 (instants
-///   fold into counters, as in the aggregating collectors);
-/// * `observe("driver.online_energy", v)` → histogram
-///   `mpss_driver_online_energy{track="…"}`;
-/// * spans → histogram `mpss_span_seconds{span="…", track="…"}` of wall
-///   durations, observed at `span_end`.
-///
-/// The `track` label is the [`TrackedCollector`] lane: `main` at the root,
-/// the fork name (`worker-3`, …) inside parallel sections — bounded
-/// cardinality, since lane names come from the pool, never from data.
-pub struct MetricsCollector {
-    hub: MetricsHub,
-    track: String,
-    counters: BTreeMap<&'static str, Counter>,
-    histograms: BTreeMap<&'static str, WindowHistogram>,
-    span_hists: BTreeMap<&'static str, WindowHistogram>,
-    open_spans: Vec<(&'static str, Instant)>,
-}
-
-impl MetricsCollector {
-    /// A collector feeding `hub`, recording on the root track `main`.
-    pub fn new(hub: &MetricsHub) -> MetricsCollector {
-        MetricsCollector::with_track(hub, "main")
-    }
-
-    /// A collector feeding `hub` on an explicitly named track.
-    pub fn with_track(hub: &MetricsHub, track: &str) -> MetricsCollector {
-        MetricsCollector {
-            hub: hub.clone(),
-            track: track.to_string(),
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            span_hists: BTreeMap::new(),
-            open_spans: Vec::new(),
-        }
-    }
-
-    /// The hub this collector feeds.
-    pub fn hub(&self) -> &MetricsHub {
-        &self.hub
-    }
-
-    fn counter_handle(&mut self, name: &'static str) -> &Counter {
-        self.counters.entry(name).or_insert_with(|| {
-            self.hub.counter(
-                &crate::names::prom_counter(name),
-                name,
-                &[("track", self.track.as_str())],
-            )
-        })
-    }
-}
-
-impl Collector for MetricsCollector {
-    fn span_start(&mut self, name: &'static str) {
-        self.open_spans.push((name, Instant::now()));
-    }
-
-    fn span_end(&mut self, name: &'static str) {
-        let Some((opened, began)) = self.open_spans.pop() else {
-            return;
-        };
-        let _ = opened; // mismatches are the RecordingCollector's to report
-        let seconds = began.elapsed().as_secs_f64();
-        let (hub, track) = (&self.hub, self.track.as_str());
-        self.span_hists
-            .entry(name)
-            .or_insert_with(|| {
-                hub.histogram(
-                    crate::names::PROM_SPAN_SECONDS,
-                    "wall-clock span durations by span name and track",
-                    &[("span", name), ("track", track)],
-                )
-            })
-            .observe(seconds);
-    }
-
-    fn count(&mut self, counter: &'static str, by: u64) {
-        self.counter_handle(counter).add(by);
-    }
-
-    fn observe(&mut self, histogram: &'static str, value: f64) {
-        let (hub, track) = (&self.hub, self.track.as_str());
-        self.histograms
-            .entry(histogram)
-            .or_insert_with(|| {
-                hub.histogram(
-                    &crate::names::prom_histogram(histogram),
-                    histogram,
-                    &[("track", track)],
-                )
-            })
-            .observe(value);
-    }
-
-    fn instant(&mut self, name: &'static str) {
-        self.counter_handle(name).inc();
-    }
-
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-impl TrackedCollector for MetricsCollector {
-    type Track = MetricsCollector;
-
-    fn fork(&mut self, name: &str) -> MetricsCollector {
-        MetricsCollector::with_track(&self.hub, name)
-    }
-
-    fn adopt(&mut self, _track: MetricsCollector) {
-        // Nothing to merge: every track writes straight into the shared hub.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,38 +733,6 @@ mod tests {
         let hub = MetricsHub::new();
         hub.gauge("mpss_g", "gauge", &[]).set(f64::INFINITY);
         assert!(hub.render().contains("mpss_g +Inf"));
-    }
-
-    #[test]
-    fn metrics_collector_maps_events_to_labeled_series() {
-        let hub = MetricsHub::new();
-        let mut mc = MetricsCollector::new(&hub);
-        mc.count("offline.phases", 3);
-        mc.instant("oa.arrival");
-        mc.observe("driver.online_energy", 2.5);
-        mc.span_start("oa.replan");
-        mc.span_end("oa.replan");
-        let mut worker = mc.fork("worker-1");
-        worker.count("offline.phases", 2);
-        mc.adopt(worker);
-        let text = hub.render();
-        assert!(
-            text.contains("mpss_offline_phases_total{track=\"main\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mpss_offline_phases_total{track=\"worker-1\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mpss_oa_arrival_total{track=\"main\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mpss_span_seconds_count{span=\"oa.replan\",track=\"main\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("mpss_driver_online_energy_sum"), "{text}");
     }
 
     #[test]

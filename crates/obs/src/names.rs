@@ -1,12 +1,16 @@
 //! The instrumentation-key manifest.
 //!
-//! Every counter, histogram, span, and instant name the workspace emits is
-//! listed here, in one place. Two things hang off the manifest:
+//! Every event name the workspace emits is listed here, in one place:
+//! counter, histogram, span and instant names, live-metric families,
+//! flight-recorder event kinds and log targets. Two things hang off the
+//! manifest:
 //!
-//! * a coverage test (`tests/obs.rs` in the root crate) runs the solvers
-//!   end-to-end and asserts every *recorded* key is listed — so a typo'd key
-//!   at an instrumentation point fails CI instead of silently forking a new
-//!   counter;
+//! * coverage tests run the stack end to end and assert every name they
+//!   saw is listed — `manifest_covers_everything_the_stack_emits`
+//!   (`tests/trace_obs.rs`) for collector keys, and the daemon's unit
+//!   tests for metric families, flight kinds and log targets — so a
+//!   typo'd name at an instrumentation point fails CI instead of silently
+//!   forking a new one;
 //! * the DESIGN.md observability table is generated from
 //!   [`markdown_table`], so docs cannot drift from code.
 //!
@@ -22,10 +26,6 @@ pub const COUNTERS: &[(&str, &str)] = &[
         "AVR density intervals summed into the profile",
     ),
     ("avr.peeled", "AVR per-job segments peeled off the profile"),
-    (
-        "batch.solved",
-        "instances a batch shard finished (shard-level progress)",
-    ),
     (
         "driver.segments",
         "schedule segments emitted by the online driver",
@@ -74,11 +74,11 @@ pub const COUNTERS: &[(&str, &str)] = &[
     ("maxflow.pr.relabels", "push-relabel relabel operations"),
     (
         "maxflow.warm.drained",
-        "warm-start flow units drained on rebuild",
+        "warm-start drain events: job removals, plus retargets that cancelled flow",
     ),
     (
         "maxflow.warm.reused_flow",
-        "warm-start flow units carried over",
+        "max-flow rounds that started from non-zero retained or seeded flow",
     ),
     (
         "oa.maxflow.invocations",
@@ -108,7 +108,7 @@ pub const COUNTERS: &[(&str, &str)] = &[
     ),
     (
         "offline.jobs_removed",
-        "jobs fixed at peak speed by the repair loop",
+        "Lemma 4 removals: jobs outside J_i, left to a later, slower phase",
     ),
     ("offline.maxflow.invocations", "max-flow computations run"),
     ("offline.phases", "phases of the optimal offline algorithm"),
@@ -118,10 +118,6 @@ pub const COUNTERS: &[(&str, &str)] = &[
     ),
     ("par.pool.threads", "worker threads the pool fanned out to"),
     ("par.tasks", "tasks submitted to the worker pool"),
-    (
-        "par.worker.items",
-        "items one pool worker claimed (per-worker track)",
-    ),
     (
         "serve.arrivals",
         "jobs the soak harness pushed through daemon tenants",
@@ -147,7 +143,7 @@ pub const COUNTERS: &[(&str, &str)] = &[
 pub const HISTOGRAMS: &[(&str, &str)] = &[
     (
         "driver.energy_trajectory",
-        "online/OPT energy ratio per prefix",
+        "cumulative online energy after each segment, in execution order",
     ),
     ("driver.online_energy", "online algorithm energy per run"),
     ("driver.opt_energy", "optimal offline energy per run"),
@@ -155,13 +151,15 @@ pub const HISTOGRAMS: &[(&str, &str)] = &[
         "offline.flow_vs_target",
         "max-flow value vs. demand target per probe",
     ),
-    ("offline.jobs_removed_per_phase", "jobs fixed per phase"),
+    (
+        "offline.jobs_removed_per_phase",
+        "Lemma 4 removals in one phase (its rounds − 1)",
+    ),
 ];
 
 /// Every span name, sorted. Each span `s` implies a derived histogram
 /// `span.<s>.ms`.
 pub const SPANS: &[(&str, &str)] = &[
-    ("batch.solve", "one instance solved inside a batch shard"),
     ("oa.replan", "one OA arrival replan, end to end"),
     ("offline.optimal_schedule", "the whole offline solve"),
     ("offline.phase", "one phase: repair loop + extraction"),
@@ -173,16 +171,12 @@ pub const INSTANTS: &[(&str, &str)] = &[
     ("oa.arrival", "a job arrived and triggered a replan"),
     (
         "offline.job_removed",
-        "the repair loop fixed a job at peak speed",
+        "the repair loop dropped a job outside J_i (Lemma 4)",
     ),
 ];
 
-/// Every *explicitly registered* live-metric family name, sorted. These are
-/// the `{algo, proc, …}`-labeled series the sessions publish directly into a
-/// [`MetricsHub`](crate::MetricsHub); the bridged families derived from
-/// [`COUNTERS`]/[`HISTOGRAMS`]/[`INSTANTS`] via [`prom_counter`] /
-/// [`prom_histogram`] are *not* repeated here — [`known_metric`] accepts
-/// both.
+/// Every live-metric family name, sorted: the labeled series the sessions
+/// and the daemon publish into a [`MetricsHub`](crate::MetricsHub).
 pub const METRICS: &[(&str, &str)] = &[
     (
         "mpss_serve_checkpoint_seconds",
@@ -248,53 +242,51 @@ pub const METRICS: &[(&str, &str)] = &[
         "mpss_session_speed",
         "gauge: a live session's current per-processor speed, by algo and proc",
     ),
-    (
-        "mpss_span_seconds",
-        "histogram: wall-clock span durations bridged from collectors, by span and track",
-    ),
 ];
 
-/// The bridged span-duration histogram family
-/// ([`MetricsCollector`](crate::MetricsCollector) observes every closed span
-/// here, labeled `{span, track}`).
-pub const PROM_SPAN_SECONDS: &str = "mpss_span_seconds";
+/// Every flight-recorder event kind, sorted: the values of
+/// [`FlightEventKind::class`](crate::FlightEventKind::class), which a
+/// postmortem bundle's flight dump carries as `kind`.
+pub const FLIGHT_KINDS: &[(&str, &str)] = &[
+    ("error", "a request failed or its handler panicked"),
+    (
+        "replan",
+        "an OA replan ran: latency, work, patched arcs, engine",
+    ),
+    ("request", "a protocol request was handled"),
+];
+
+/// Every structured-log target, sorted: the `target` of the daemon's
+/// [`Logger`](crate::Logger) records.
+pub const LOG_TARGETS: &[(&str, &str)] = &[
+    ("serve.open", "a tenant session was opened"),
+    ("serve.panic", "a request handler panicked and was caught"),
+    (
+        "serve.postmortem",
+        "a postmortem bundle was written, or writing one failed",
+    ),
+    ("serve.request", "a request failed"),
+    ("serve.restore", "a tenant was restored from a checkpoint"),
+];
 
 fn listed(table: &[(&str, &str)], name: &str) -> bool {
     table.iter().any(|(key, _)| *key == name)
 }
 
-/// Rewrites a dotted instrumentation key into a Prometheus-legal name chunk:
-/// every character outside `[A-Za-z0-9]` becomes `_`.
-pub fn prom_sanitize(key: &str) -> String {
-    key.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-/// The live-metric family name a bridged counter or instant lands in:
-/// `offline.phases` → `mpss_offline_phases_total`.
-pub fn prom_counter(key: &str) -> String {
-    format!("mpss_{}_total", prom_sanitize(key))
-}
-
-/// The live-metric family name a bridged histogram lands in:
-/// `driver.online_energy` → `mpss_driver_online_energy`.
-pub fn prom_histogram(key: &str) -> String {
-    format!("mpss_{}", prom_sanitize(key))
-}
-
-/// `true` if `family` is a manifest live-metric family — either listed in
-/// [`METRICS`] or derived from a manifest counter/instant/histogram by the
-/// [`prom_counter`]/[`prom_histogram`] bridge mapping.
+/// `true` if `family` is a manifest live-metric family (listed in
+/// [`METRICS`]).
 pub fn known_metric(family: &str) -> bool {
     listed(METRICS, family)
-        || COUNTERS
-            .iter()
-            .chain(INSTANTS)
-            .any(|(key, _)| prom_counter(key) == family)
-        || HISTOGRAMS
-            .iter()
-            .any(|(key, _)| prom_histogram(key) == family)
+}
+
+/// `true` if `kind` is a manifest flight-recorder event kind.
+pub fn known_flight_kind(kind: &str) -> bool {
+    listed(FLIGHT_KINDS, kind)
+}
+
+/// `true` if `target` is a manifest log target.
+pub fn known_log_target(target: &str) -> bool {
+    listed(LOG_TARGETS, target)
 }
 
 /// `true` if `name` is a manifest counter — including instant names, which
@@ -341,15 +333,18 @@ pub fn unknown_keys<'a>(
 }
 
 /// The manifest as a Markdown table (DESIGN.md embeds this verbatim; the
-/// `obs_manifest` test in the root crate keeps the two in sync).
+/// `design_md_embeds_the_manifest_table` test in the root crate keeps the
+/// two in sync).
 pub fn markdown_table() -> String {
     let mut out = String::from("| kind | key | meaning |\n|---|---|---|\n");
-    let sections: [(&str, &[(&str, &str)]); 5] = [
+    let sections: [(&str, &[(&str, &str)]); 7] = [
         ("counter", COUNTERS),
         ("histogram", HISTOGRAMS),
         ("span", SPANS),
         ("instant", INSTANTS),
         ("metric", METRICS),
+        ("flight", FLIGHT_KINDS),
+        ("log", LOG_TARGETS),
     ];
     for (kind, table) in sections {
         for (key, meaning) in table {
@@ -365,7 +360,15 @@ mod tests {
 
     #[test]
     fn tables_are_sorted_and_unique() {
-        for table in [COUNTERS, HISTOGRAMS, SPANS, INSTANTS, METRICS] {
+        for table in [
+            COUNTERS,
+            HISTOGRAMS,
+            SPANS,
+            INSTANTS,
+            METRICS,
+            FLIGHT_KINDS,
+            LOG_TARGETS,
+        ] {
             for pair in table.windows(2) {
                 assert!(pair[0].0 < pair[1].0, "{} !< {}", pair[0].0, pair[1].0);
             }
@@ -401,28 +404,33 @@ mod tests {
             .chain(SPANS)
             .chain(INSTANTS)
             .chain(METRICS)
+            .chain(FLIGHT_KINDS)
+            .chain(LOG_TARGETS)
         {
             assert!(table.contains(&format!("`{key}`")), "missing {key}");
         }
     }
 
     #[test]
-    fn prom_names_follow_the_bridge_mapping() {
-        assert_eq!(prom_sanitize("offline.phases"), "offline_phases");
-        assert_eq!(prom_counter("offline.phases"), "mpss_offline_phases_total");
-        assert_eq!(
-            prom_histogram("driver.online_energy"),
-            "mpss_driver_online_energy"
-        );
+    fn known_metric_accepts_only_listed_families() {
+        assert!(known_metric("mpss_session_replan_seconds"));
+        assert!(known_metric("mpss_serve_requests_total"));
+        // Collector keys are not live-metric families.
+        assert!(!known_metric("mpss_offline_phases_total"));
+        assert!(!known_metric("mpss_totally_made_up"));
     }
 
     #[test]
-    fn known_metric_accepts_listed_and_bridged_families() {
-        assert!(known_metric("mpss_session_replan_seconds")); // listed
-        assert!(known_metric(PROM_SPAN_SECONDS)); // listed
-        assert!(known_metric("mpss_offline_phases_total")); // bridged counter
-        assert!(known_metric("mpss_oa_arrival_total")); // bridged instant
-        assert!(known_metric("mpss_driver_online_energy")); // bridged histogram
-        assert!(!known_metric("mpss_totally_made_up"));
+    fn every_flight_event_class_is_listed() {
+        use crate::FlightEventKind;
+        for event in [
+            FlightEventKind::request("open", true, None),
+            FlightEventKind::replan(1.0, 2, 3, "dinic"),
+            FlightEventKind::error("planning", "x"),
+        ] {
+            assert!(known_flight_kind(event.class()), "{}", event.class());
+        }
+        assert!(known_log_target("serve.open"));
+        assert!(!known_log_target("serve.typo"));
     }
 }

@@ -2,7 +2,8 @@
 
 use crate::hist::Histogram;
 use crate::json::Json;
-use crate::{Collector, TrackedCollector};
+use crate::trace::{TraceCollector, TraceEventKind};
+use crate::Collector;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
@@ -54,60 +55,50 @@ impl SpanNode {
 /// span's duration is additionally folded into the histogram
 /// `span.<name>.ms`, so repeated spans (one per phase, one per arrival)
 /// aggregate into latency distributions for free.
-#[derive(Debug, Default)]
+///
+/// It records either live, as the collector an instrumented run reports
+/// to, or after the fact, as the fold of a finished [`TraceCollector`]
+/// ([`from_trace`](RecordingCollector::from_trace)). Both apply each event
+/// through one step, so a trace's fold and a live recording of the same
+/// run agree on every counter, histogram name and count, and the span
+/// tree.
+#[derive(Debug)]
 pub struct RecordingCollector {
+    /// Span timestamps count nanoseconds from here.
+    epoch: Instant,
     roots: Vec<SpanNode>,
-    open: Vec<(SpanNode, Instant)>,
+    /// Open spans with the timestamp they opened at.
+    open: Vec<(SpanNode, u64)>,
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
+impl Default for RecordingCollector {
+    fn default() -> RecordingCollector {
+        RecordingCollector::new()
+    }
+}
+
 impl Collector for RecordingCollector {
     fn span_start(&mut self, name: &'static str) {
-        let node = SpanNode {
-            name,
-            duration_ns: 0,
-            children: Vec::new(),
-        };
-        self.open.push((node, Instant::now()));
+        self.apply(self.now_ns(), TraceEventKind::Begin(name));
     }
 
     fn span_end(&mut self, name: &'static str) {
-        let Some((mut node, started)) = self.open.pop() else {
-            // Instrumentation bug, not a data bug: record it and keep going
-            // so the rest of the run still produces a report.
-            self.count(SPAN_MISMATCH_COUNTER, 1);
-            return;
-        };
-        if node.name != name {
-            self.count(SPAN_MISMATCH_COUNTER, 1);
-        }
-        node.duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.histograms
-            .entry(format!("span.{}.ms", node.name))
-            .or_default()
-            .record(node.millis());
-        match self.open.last_mut() {
-            Some((parent, _)) => parent.children.push(node),
-            None => self.roots.push(node),
-        }
+        self.apply(self.now_ns(), TraceEventKind::End(name));
     }
 
+    // Only span events read their timestamp, so point events skip the clock.
     fn count(&mut self, counter: &'static str, by: u64) {
-        *self.counters.entry(counter).or_insert(0) += by;
+        self.apply(0, TraceEventKind::Count(counter, by));
     }
 
     fn observe(&mut self, histogram: &'static str, value: f64) {
-        self.histograms
-            .entry(histogram.to_string())
-            .or_default()
-            .record(value);
+        self.apply(0, TraceEventKind::Value(histogram, value));
     }
 
     fn instant(&mut self, name: &'static str) {
-        // An aggregating collector has no timeline; instants fold into the
-        // counter of the same name so they still show up in reports.
-        self.count(name, 1);
+        self.apply(0, TraceEventKind::Instant(name));
     }
 
     fn enabled(&self) -> bool {
@@ -115,22 +106,91 @@ impl Collector for RecordingCollector {
     }
 }
 
-impl TrackedCollector for RecordingCollector {
-    type Track = RecordingCollector;
-
-    fn fork(&mut self, _name: &str) -> RecordingCollector {
-        RecordingCollector::new()
-    }
-
-    fn adopt(&mut self, track: RecordingCollector) {
-        self.merge(track);
-    }
-}
-
 impl RecordingCollector {
-    /// Creates an empty recording collector.
+    /// Creates an empty recording collector whose clock starts now.
     pub fn new() -> RecordingCollector {
-        RecordingCollector::default()
+        RecordingCollector::with_epoch(Instant::now())
+    }
+
+    fn with_epoch(epoch: Instant) -> RecordingCollector {
+        RecordingCollector {
+            epoch,
+            roots: Vec::new(),
+            open: Vec::new(),
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
+
+    /// Folds a finished trace into the run report a live recording of the
+    /// same run would have produced. The fold takes the trace's epoch, so
+    /// [`close_open_spans`](RecordingCollector::close_open_spans) measures a
+    /// span the trace left open up to now on the trace's own time axis.
+    ///
+    /// Events fold in stream order onto one span stack, whatever their
+    /// track: fold a one-track trace, or one whose adopted tracks each
+    /// closed their spans ([`TraceCollector::adopt`] appends a track's
+    /// events as one block).
+    pub fn from_trace(trace: &TraceCollector) -> RecordingCollector {
+        let mut rec = RecordingCollector::with_epoch(trace.epoch());
+        for event in trace.events() {
+            rec.apply(event.ts_ns, event.kind);
+        }
+        rec
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    }
+
+    /// Applies one event that happened `ts_ns` after the epoch: the step
+    /// live recording and [`from_trace`](RecordingCollector::from_trace)
+    /// share. Only span events read `ts_ns`.
+    fn apply(&mut self, ts_ns: u64, kind: TraceEventKind) {
+        match kind {
+            TraceEventKind::Begin(name) => {
+                let node = SpanNode {
+                    name,
+                    duration_ns: 0,
+                    children: Vec::new(),
+                };
+                self.open.push((node, ts_ns));
+            }
+            TraceEventKind::End(name) => {
+                let Some((mut node, started)) = self.open.pop() else {
+                    // Instrumentation bug, not a data bug: record it and keep
+                    // going so the rest of the run still produces a report.
+                    self.count(SPAN_MISMATCH_COUNTER, 1);
+                    return;
+                };
+                if node.name != name {
+                    self.count(SPAN_MISMATCH_COUNTER, 1);
+                }
+                node.duration_ns = ts_ns.saturating_sub(started);
+                self.histograms
+                    .entry(format!("span.{}.ms", node.name))
+                    .or_default()
+                    .record(node.millis());
+                match self.open.last_mut() {
+                    Some((parent, _)) => parent.children.push(node),
+                    None => self.roots.push(node),
+                }
+            }
+            TraceEventKind::Count(counter, by) => {
+                *self.counters.entry(counter).or_insert(0) += by;
+            }
+            // A report has no timeline; instants fold into the counter of
+            // the same name so they still show up in it.
+            TraceEventKind::Instant(name) => {
+                *self.counters.entry(name).or_insert(0) += 1;
+            }
+            TraceEventKind::Value(histogram, value) => {
+                self.histograms
+                    .entry(histogram.to_string())
+                    .or_default()
+                    .record(value);
+            }
+        }
     }
 
     /// Current value of a counter (0 if never incremented).
@@ -168,22 +228,6 @@ impl RecordingCollector {
             self.count(SPAN_UNCLOSED_COUNTER, 1);
             self.span_end(name);
         }
-    }
-
-    /// Merges another collector's recordings into this one: counters add,
-    /// histograms merge (exact moments, concatenated quantile samples), and
-    /// `other`'s completed top-level spans append after `self`'s. Open spans
-    /// of `other` are force-closed first (a forked worker track should have
-    /// none). This is [`TrackedCollector::adopt`] for recording collectors.
-    pub fn merge(&mut self, mut other: RecordingCollector) {
-        other.close_open_spans();
-        for (name, value) in other.counters {
-            *self.counters.entry(name).or_insert(0) += value;
-        }
-        for (name, hist) in other.histograms {
-            self.histograms.entry(name).or_default().merge(&hist);
-        }
-        self.roots.extend(other.roots);
     }
 
     /// The run report as a JSON document:
@@ -342,38 +386,86 @@ mod tests {
         assert_eq!(rec.to_json().get("warnings"), None);
     }
 
-    #[test]
-    fn merge_combines_counters_histograms_and_spans() {
-        let mut a = RecordingCollector::new();
-        a.count("shared", 1);
-        a.count("only_a", 5);
-        a.observe("h", 1.0);
-        a.span_start("a_span");
-        a.span_end("a_span");
+    /// A well-formed run: nested spans, counters, an instant and values.
+    fn clean_run(obs: &mut dyn Collector) {
+        obs.span_start("solve");
+        obs.count("rounds", 2);
+        obs.span_start("phase");
+        obs.instant("removed");
+        obs.observe("ratio", 0.5);
+        obs.span_end("phase");
+        obs.observe("ratio", 1.0);
+        obs.span_end("solve");
+    }
 
-        let mut b = RecordingCollector::new();
-        b.count("shared", 2);
-        b.observe("h", 3.0);
-        b.span_start("b_span");
-        b.span_end("b_span");
+    /// Ends a span with none open and one under the wrong name, then
+    /// leaves two spans open.
+    fn broken_run(obs: &mut dyn Collector) {
+        obs.span_end("ghost");
+        obs.span_start("real");
+        obs.span_end("wrong");
+        obs.span_start("left-open");
+        obs.span_start("inner");
+    }
 
-        a.merge(b);
-        assert_eq!(a.counter("shared"), 3);
-        assert_eq!(a.counter("only_a"), 5);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.histogram("h").unwrap().sum(), 4.0);
-        let names: Vec<_> = a.spans().iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["a_span", "b_span"]);
+    fn span_names(spans: &[SpanNode]) -> Vec<String> {
+        spans
+            .iter()
+            .map(|s| format!("{}({})", s.name, span_names(&s.children).join(",")))
+            .collect()
+    }
+
+    /// Records `run` live and into a trace, force-closes both, and checks
+    /// that the fold reports the same counters, histogram counts and span
+    /// tree as the live recording.
+    fn assert_fold_matches_live(run: fn(&mut dyn Collector)) -> RecordingCollector {
+        let mut live = RecordingCollector::new();
+        run(&mut live);
+        live.close_open_spans();
+        let mut trace = TraceCollector::new("main");
+        run(&mut trace);
+        let mut fold = RecordingCollector::from_trace(&trace);
+        fold.close_open_spans();
+        assert_eq!(
+            fold.counters().collect::<Vec<_>>(),
+            live.counters().collect::<Vec<_>>()
+        );
+        let counts = |rec: &RecordingCollector| {
+            rec.histograms()
+                .map(|(k, h)| (k.to_string(), h.count()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&fold), counts(&live));
+        assert_eq!(span_names(fold.spans()), span_names(live.spans()));
+        fold
     }
 
     #[test]
-    fn adopt_is_merge_for_recording_collectors() {
-        use crate::TrackedCollector;
-        let mut root = RecordingCollector::new();
-        let mut track = root.fork("worker-0");
-        track.count("work", 4);
-        root.adopt(track);
-        assert_eq!(root.counter("work"), 4);
+    fn trace_fold_equals_live_recording() {
+        let fold = assert_fold_matches_live(clean_run);
+        assert_eq!(span_names(fold.spans()), ["solve(phase())"]);
+        assert_eq!(fold.counter("removed"), 1);
+        assert_eq!(fold.histogram("ratio").unwrap().sum(), 1.5);
+        assert_eq!(fold.to_json().get("warnings"), None);
+    }
+
+    #[test]
+    fn broken_spans_fold_to_the_live_health_counters() {
+        let fold = assert_fold_matches_live(broken_run);
+        assert_eq!(fold.counter(SPAN_MISMATCH_COUNTER), 2);
+        assert_eq!(fold.counter(SPAN_UNCLOSED_COUNTER), 2);
+    }
+
+    #[test]
+    fn fold_measures_spans_on_the_trace_clock() {
+        let mut trace = TraceCollector::new("main");
+        trace.span_start("open");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let mut fold = RecordingCollector::from_trace(&trace);
+        fold.close_open_spans();
+        // The span opened on the trace's axis, so its forced close counts
+        // the time since then, not since the fold began.
+        assert!(fold.spans()[0].duration_ns >= 2_000_000);
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! The streaming trace collector: an ordered event timeline with tracks.
 //!
-//! Where [`RecordingCollector`](crate::RecordingCollector) *aggregates*
-//! (span trees, counter totals, histograms), [`TraceCollector`] *streams*:
-//! every span begin/end, instant, and counter sample is appended to an
-//! ordered event list with a monotonic timestamp and a track id. Parallel
-//! workers (pool workers, batch shards) each record onto a forked track and
-//! the tracks merge deterministically at join — which is what makes the
-//! timeline renderable per-thread in Perfetto (see
-//! [`chrome`](crate::chrome) for the export).
+//! Every span begin/end, instant, counter increment and observed value is
+//! appended to an ordered event list with a monotonic timestamp and a track
+//! id. The stream is complete: a run report is its fold
+//! ([`RecordingCollector::from_trace`](crate::RecordingCollector::from_trace)),
+//! and [`chrome`](crate::chrome) exports it for Perfetto. A batched solve
+//! records each instance on its own forked track and appends the tracks in
+//! input order, so the timeline renders one row per instance.
 //!
 //! Timestamps come from one shared epoch: [`TraceCollector::fork`] copies
 //! the parent's epoch `Instant` into the child, so events recorded on
 //! different threads are directly comparable on one time axis.
 
-use crate::{Collector, TrackedCollector};
+use crate::Collector;
 use std::time::Instant;
 
 /// What happened at one point of the timeline.
@@ -47,7 +46,7 @@ pub struct TraceEvent {
 /// A [`Collector`] that records the full ordered event stream.
 ///
 /// Forked tracks keep their events under *local* track ids (their own track
-/// is id 0); [`adopt`](TrackedCollector::adopt) renumbers the child's tracks
+/// is id 0); [`adopt`](TraceCollector::adopt) renumbers the child's tracks
 /// after the parent's existing ones and appends its events — so the final
 /// track numbering depends only on fork/adopt order, never on thread timing.
 #[derive(Clone, Debug)]
@@ -90,6 +89,36 @@ impl TraceCollector {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
+
+    /// The instant timestamps count from.
+    pub(crate) fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
+    /// Creates an empty trace for a parallel track named `name`, on this
+    /// trace's time axis. Move it into the worker, then
+    /// [`adopt`](TraceCollector::adopt) it back after the join.
+    pub fn fork(&self, name: &str) -> TraceCollector {
+        TraceCollector {
+            // Shared epoch: the child's timestamps land on the parent's axis.
+            epoch: self.epoch,
+            tracks: vec![name.to_string()],
+            events: Vec::new(),
+        }
+    }
+
+    /// Appends a forked trace's tracks after this trace's own and its
+    /// events after the events so far. Adopting in a fixed order (a batch
+    /// adopts in input order) makes the numbering independent of thread
+    /// timing.
+    pub fn adopt(&mut self, track: TraceCollector) {
+        let offset = self.tracks.len() as u32;
+        self.tracks.extend(track.tracks);
+        self.events.extend(track.events.into_iter().map(|mut e| {
+            e.track += offset;
+            e
+        }));
+    }
 }
 
 impl Collector for TraceCollector {
@@ -115,28 +144,6 @@ impl Collector for TraceCollector {
 
     fn enabled(&self) -> bool {
         true
-    }
-}
-
-impl TrackedCollector for TraceCollector {
-    type Track = TraceCollector;
-
-    fn fork(&mut self, name: &str) -> TraceCollector {
-        TraceCollector {
-            // Shared epoch: the child's timestamps land on the parent's axis.
-            epoch: self.epoch,
-            tracks: vec![name.to_string()],
-            events: Vec::new(),
-        }
-    }
-
-    fn adopt(&mut self, track: TraceCollector) {
-        let offset = self.tracks.len() as u32;
-        self.tracks.extend(track.tracks);
-        self.events.extend(track.events.into_iter().map(|mut e| {
-            e.track += offset;
-            e
-        }));
     }
 }
 

@@ -48,11 +48,36 @@ pub enum FlowEngine {
     PushRelabel,
 }
 
+impl FlowEngine {
+    /// The engine's spelling in checkpoints and on the wire: `"dinic"` or
+    /// `"push-relabel"`. A restored session must replan with the engine the
+    /// checkpointed one used — the schedules agree in energy but not bit
+    /// for bit.
+    pub fn name(self) -> &'static str {
+        match self {
+            FlowEngine::Dinic => "dinic",
+            FlowEngine::PushRelabel => "push-relabel",
+        }
+    }
+
+    /// The engine [`name`](FlowEngine::name) spells, if any.
+    pub fn parse(name: &str) -> Option<FlowEngine> {
+        match name {
+            "dinic" => Some(FlowEngine::Dinic),
+            "push-relabel" => Some(FlowEngine::PushRelabel),
+            _ => None,
+        }
+    }
+}
+
+/// Relative tolerance of the `f64` path (ignored by exact arithmetic):
+/// when a flow saturates its target, which job Lemma 4 removes, and how
+/// intervals pack.
+const EPS: f64 = 1e-9;
+
 /// Tuning knobs for [`optimal_schedule_with`].
 #[derive(Clone, Debug)]
 pub struct OfflineOptions {
-    /// Relative tolerance for the `f64` path (ignored by exact arithmetic).
-    pub eps: f64,
     /// Record a per-round trace (used by the Fig. 2 experiment binary).
     pub record_trace: bool,
     /// The max-flow engine to run internally.
@@ -70,7 +95,6 @@ pub struct OfflineOptions {
 impl Default for OfflineOptions {
     fn default() -> Self {
         OfflineOptions {
-            eps: 1e-9,
             record_trace: false,
             engine: FlowEngine::Dinic,
             warm_start: true,
@@ -419,7 +443,7 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: Collector>(
                 }
             }
 
-            if T::close(flow, fm.target, fm.target, opts.eps) {
+            if T::close(flow, fm.target, fm.target, EPS) {
                 if opts.record_trace {
                     trace.push(RoundTrace {
                         phase: phase_index,
@@ -434,7 +458,7 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: Collector>(
             }
 
             // Deficient round: drop the job of Lemma 4's removal rule.
-            let removed = select_removal(&fm, opts.eps);
+            let removed = select_removal(&fm, EPS);
             obs.count("offline.jobs_removed", 1);
             obs.instant("offline.job_removed");
             if opts.record_trace {
@@ -499,7 +523,7 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: Collector>(
                 start,
                 intervals.length(j),
                 speed,
-                opts.eps,
+                EPS,
             );
         }
 
@@ -511,7 +535,7 @@ pub fn optimal_schedule_prepared<T: FlowNum, C: Collector>(
 
         if let Some(prev) = phases.last() {
             debug_assert!(
-                T::leq(speed, prev.speed, prev.speed, opts.eps),
+                T::leq(speed, prev.speed, prev.speed, EPS),
                 "phase speeds must be non-increasing: {:?} then {:?}",
                 prev.speed,
                 speed

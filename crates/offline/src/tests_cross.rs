@@ -341,7 +341,6 @@ fn removal_traces_are_identical_across_engines_and_warm_modes() {
                     record_trace: true,
                     engine,
                     warm_start,
-                    ..Default::default()
                 };
                 optimal_schedule_with(&ins, &opts).unwrap()
             })

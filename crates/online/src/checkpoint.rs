@@ -91,24 +91,6 @@ pub struct PlanSnapshot<T: FlowNum = f64> {
     pub speeds: Vec<Option<T>>,
 }
 
-/// Serializable spelling of the max-flow engine a session replans with.
-/// A restored session must replan with the same engine the checkpointed
-/// one used — the schedules agree in energy but not bit for bit.
-fn engine_name(engine: FlowEngine) -> &'static str {
-    match engine {
-        FlowEngine::Dinic => "dinic",
-        FlowEngine::PushRelabel => "push-relabel",
-    }
-}
-
-fn engine_from_name(name: &str) -> Result<FlowEngine, CheckpointError> {
-    match name {
-        "dinic" => Ok(FlowEngine::Dinic),
-        "push-relabel" => Ok(FlowEngine::PushRelabel),
-        other => Err(bad(format!("unknown flow engine `{other}`"))),
-    }
-}
-
 // ---- field-level JSON codec helpers -----------------------------------
 
 impl From<String> for CheckpointError {
@@ -375,13 +357,8 @@ impl OaCheckpoint {
                 return Err(bad(format!("plan references unknown session job {bad_id}")));
             }
         }
-        engine_from_name(&self.engine)
-    }
-
-    /// The engine name [`OaSession::checkpoint`](crate::OaSession::checkpoint)
-    /// writes for `engine`.
-    pub fn name_of(engine: FlowEngine) -> &'static str {
-        engine_name(engine)
+        FlowEngine::parse(&self.engine)
+            .ok_or_else(|| bad(format!("unknown flow engine `{}`", self.engine)))
     }
 }
 

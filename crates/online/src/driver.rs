@@ -2,7 +2,7 @@
 
 use mpss_core::energy::schedule_energy;
 use mpss_core::{Instance, ModelError, PowerFunction, Schedule};
-use mpss_obs::{Collector, NoopCollector, TrackedCollector};
+use mpss_obs::{Collector, NoopCollector};
 use mpss_offline::optimal::{optimal_schedule_observed, OfflineOptions};
 
 /// A measured competitive-ratio data point, pairing an online algorithm's
@@ -58,7 +58,7 @@ pub fn competitive_report(
 /// internal offline-optimum run reports through `obs` (spans and counters
 /// under `offline.*`), and both energies are observed into the histograms
 /// `driver.online_energy` and `driver.opt_energy`.
-pub fn competitive_report_observed<C: TrackedCollector>(
+pub fn competitive_report_observed<C: Collector>(
     instance: &Instance<f64>,
     online: &Schedule<f64>,
     p: &impl PowerFunction,

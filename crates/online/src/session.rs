@@ -465,7 +465,7 @@ impl OaSession {
     pub fn checkpoint(&self) -> OaCheckpoint {
         OaCheckpoint {
             core: self.core.checkpoint(),
-            engine: OaCheckpoint::name_of(self.engine).to_string(),
+            engine: self.engine.name().to_string(),
             remaining: self.remaining.clone(),
             plan: self.plan.clone(),
             replans: self.replans,

@@ -1,6 +1,5 @@
 //! The ordered-join scoped worker pool.
 
-use mpss_obs::{Collector, TrackedCollector};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -128,94 +127,6 @@ impl ThreadPool {
             })
             .collect()
     }
-
-    /// [`scope_map_indexed`](ThreadPool::scope_map_indexed) with per-worker
-    /// observability tracks: each worker records onto its own collector
-    /// (forked from `obs` as `worker-0`, `worker-1`, …), and the tracks are
-    /// adopted back **in worker-index order** after the join — so the merged
-    /// report/trace is deterministic even though items race across workers.
-    ///
-    /// With a sequential pool everything records onto a single `worker-0`
-    /// track, keeping `MPSS_THREADS=1` runs structurally comparable to
-    /// parallel ones.
-    pub fn scope_map_tracked<I, O, F, C>(&self, items: Vec<I>, obs: &mut C, f: F) -> Vec<O>
-    where
-        I: Send,
-        O: Send,
-        C: TrackedCollector,
-        F: Fn(usize, I, &mut C::Track) -> O + Sync,
-    {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let mut track = obs.fork("worker-0");
-            let out = items
-                .into_iter()
-                .enumerate()
-                .map(|(idx, item)| {
-                    track.count("par.worker.items", 1);
-                    f(idx, item, &mut track)
-                })
-                .collect();
-            obs.adopt(track);
-            return out;
-        }
-        let input: Vec<Mutex<Option<I>>> = items
-            .into_iter()
-            .map(|item| Mutex::new(Some(item)))
-            .collect();
-        let output: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // Tracks ride back through per-worker slots, like results do through
-        // per-item slots; worker w deposits into slot w, so adoption order
-        // is worker order, not completion order.
-        let returned: Vec<Mutex<Option<C::Track>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
-        let tracks: Vec<C::Track> = (0..workers)
-            .map(|w| obs.fork(&format!("worker-{w}")))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for (w, mut track) in tracks.into_iter().enumerate() {
-                let f = &f;
-                let cursor = &cursor;
-                let input = &input;
-                let output = &output;
-                let returned = &returned;
-                scope.spawn(move || {
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let item = input[idx]
-                            .lock()
-                            .expect("input slot poisoned")
-                            .take()
-                            .expect("each item is claimed exactly once");
-                        track.count("par.worker.items", 1);
-                        let out = f(idx, item, &mut track);
-                        *output[idx].lock().expect("output slot poisoned") = Some(out);
-                    }
-                    *returned[w].lock().expect("track slot poisoned") = Some(track);
-                });
-            }
-        });
-        for slot in returned {
-            let track = slot
-                .into_inner()
-                .expect("track slot poisoned")
-                .expect("scope join implies every worker returned its track");
-            obs.adopt(track);
-        }
-        output
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("output slot poisoned")
-                    .expect("scope join implies every slot was filled")
-            })
-            .collect()
-    }
 }
 
 impl Default for ThreadPool {
@@ -277,73 +188,6 @@ mod tests {
         let seq = ThreadPool::new(1).scope_map(items.clone(), |x| x.wrapping_mul(2654435761));
         let par = ThreadPool::new(7).scope_map(items, |x| x.wrapping_mul(2654435761));
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn tracked_map_merges_worker_counts_deterministically() {
-        use mpss_obs::{Collector, RecordingCollector};
-        let pool = ThreadPool::new(4);
-        let mut rec = RecordingCollector::new();
-        let out = pool.scope_map_tracked((0..40u64).collect(), &mut rec, |_, x, track| {
-            track.count("work.items", 1);
-            x * 2
-        });
-        assert_eq!(out, (0..40u64).map(|x| x * 2).collect::<Vec<_>>());
-        // Every item counted exactly once, whichever worker took it — both
-        // by the closure and by the pool's own per-worker claim counter.
-        assert_eq!(rec.counter("work.items"), 40);
-        assert_eq!(rec.counter("par.worker.items"), 40);
-    }
-
-    #[test]
-    fn worker_item_claims_cover_sequential_runs_too() {
-        use mpss_obs::RecordingCollector;
-        let mut rec = RecordingCollector::new();
-        ThreadPool::new(1).scope_map_tracked((0..7).collect::<Vec<i32>>(), &mut rec, |_, x, _| x);
-        assert_eq!(rec.counter("par.worker.items"), 7);
-    }
-
-    #[test]
-    fn tracked_map_names_one_track_per_worker() {
-        use mpss_obs::{Collector, TraceCollector};
-        let pool = ThreadPool::new(3);
-        let mut trace = TraceCollector::new("main");
-        pool.scope_map_tracked((0..9).collect::<Vec<i32>>(), &mut trace, |_, x, track| {
-            track.instant("tick");
-            x
-        });
-        assert_eq!(
-            trace.track_names(),
-            ["main", "worker-0", "worker-1", "worker-2"]
-        );
-        // All nine instants landed on worker tracks (none on main).
-        let on_workers = trace
-            .events()
-            .iter()
-            .filter(|e| e.track >= 1 && matches!(e.kind, mpss_obs::TraceEventKind::Instant(_)))
-            .count();
-        assert_eq!(on_workers, 9);
-
-        // The sequential pool still forks a single worker track.
-        let mut solo = TraceCollector::new("main");
-        ThreadPool::new(1).scope_map_tracked(vec![1], &mut solo, |_, x: i32, track| {
-            track.instant("tick");
-            x
-        });
-        assert_eq!(solo.track_names(), ["main", "worker-0"]);
-    }
-
-    #[test]
-    fn tracked_map_with_noop_collector_matches_scope_map() {
-        use mpss_obs::NoopCollector;
-        let pool = ThreadPool::new(4);
-        let plain = pool.scope_map((0..50).collect::<Vec<i32>>(), |x| x + 1);
-        let tracked = pool.scope_map_tracked(
-            (0..50).collect::<Vec<i32>>(),
-            &mut NoopCollector,
-            |_, x, _| x + 1,
-        );
-        assert_eq!(plain, tracked);
     }
 
     #[test]

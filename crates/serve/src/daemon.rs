@@ -43,7 +43,7 @@
 //! budget is itself observable.
 
 use crate::postmortem::{self, BundleContents, BundleReason};
-use crate::protocol::{engine_name, Algo, ErrorKind, Request, Response};
+use crate::protocol::{Algo, ErrorKind, Request, Response};
 use mpss_obs::json::Json;
 use mpss_obs::{
     Counter, FlightEventKind, FlightRecorder, Gauge, Level, Logger, MetricsHub, RingSink,
@@ -181,7 +181,7 @@ impl Session {
                 "flow_computations",
                 Json::UInt(s.flow_computations() as u64),
             );
-            doc.push("engine", Json::from(engine_name(s.engine())));
+            doc.push("engine", Json::from(s.engine().name()));
         }
         doc.push(
             "executed_segments",
@@ -561,7 +561,7 @@ impl Daemon {
             if let Session::Oa(s) = &mut t.session {
                 replan = s.take_last_replan();
                 if let Some(summary) = &replan {
-                    let engine = engine_name(s.engine());
+                    let engine = s.engine().name();
                     t.flight.recorder.record(replan_event(summary, engine));
                 }
             }
@@ -1692,6 +1692,100 @@ mod tests {
             mpss_obs::SnapshotValue::Gauge(v) => assert!(v > 0.0, "no arcs patched: {v}"),
             ref other => panic!("gauge expected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn flight_kinds_and_log_targets_are_in_the_manifest() {
+        let dir = tmp_dir("manifest-events");
+        let checkpoints = tmp_dir("manifest-events-ckpt");
+        let mut daemon = Daemon::new(DaemonConfig {
+            postmortem_dir: Some(PathBuf::from(&dir)),
+            slow_replan_ms: Some(0.0),
+            panic_on_op: Some("query-plan".into()),
+            ..DaemonConfig::default()
+        });
+        // An open, an arrival whose replan trips the 0 ms slow threshold
+        // into a bundle write, and a failed request.
+        ok(daemon.handle(&Request::Open {
+            tenant: "a".into(),
+            algo: Algo::Oa,
+            m: 1,
+            start: 0.0,
+            engine: None,
+        }));
+        ok(daemon.handle(&Request::Arrive {
+            tenant: "a".into(),
+            deadline: 2.0,
+            volume: 1.0,
+        }));
+        let failed = daemon.handle(&Request::Arrive {
+            tenant: "ghost".into(),
+            deadline: 1.0,
+            volume: 1.0,
+        });
+        assert!(!failed.is_ok());
+        // A restore of a tenant another daemon checkpointed, then a caught
+        // panic.
+        let mut source = Daemon::new(DaemonConfig::default());
+        ok(source.handle(&Request::Open {
+            tenant: "b".into(),
+            algo: Algo::Avr,
+            m: 1,
+            start: 0.0,
+            engine: None,
+        }));
+        ok(source.handle(&Request::Checkpoint {
+            tenant: None,
+            dir: checkpoints.clone(),
+        }));
+        ok(daemon.handle(&Request::Restore {
+            tenant: Some("b".into()),
+            dir: checkpoints.clone(),
+        }));
+        let (panicked, _) = daemon.handle_line(r#"{"op":"query-plan","tenant":"a"}"#);
+        assert_eq!(panicked.error_kind(), Some("internal"));
+
+        let tenant_events = daemon
+            .tenants
+            .values()
+            .flat_map(|t| t.flight.recorder.events());
+        let kinds: std::collections::BTreeSet<&str> = daemon
+            .flight_daemon
+            .events()
+            .chain(tenant_events)
+            .map(|event| event.kind.class())
+            .collect();
+        assert_eq!(
+            kinds.iter().copied().collect::<Vec<_>>(),
+            ["error", "replan", "request"]
+        );
+        let targets: std::collections::BTreeSet<String> = daemon
+            .log_ring
+            .lines()
+            .iter()
+            .map(|line| match Json::parse(line).unwrap().get("target") {
+                Some(Json::Str(target)) => target.clone(),
+                other => panic!("log record without a target: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            targets.iter().map(String::as_str).collect::<Vec<_>>(),
+            [
+                "serve.open",
+                "serve.panic",
+                "serve.postmortem",
+                "serve.request",
+                "serve.restore"
+            ]
+        );
+        for kind in kinds {
+            assert!(mpss_obs::names::known_flight_kind(kind), "{kind}");
+        }
+        for target in &targets {
+            assert!(mpss_obs::names::known_log_target(target), "{target}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&checkpoints);
     }
 
     #[test]

@@ -166,7 +166,9 @@ impl Request {
             "open" => {
                 let engine = match doc.get("engine") {
                     None | Some(Json::Null) => None,
-                    Some(Json::Str(name)) => Some(engine_from_str(name)?),
+                    Some(Json::Str(name)) => Some(FlowEngine::parse(name).ok_or_else(|| {
+                        format!("unknown engine `{name}` (want dinic|push-relabel)")
+                    })?),
                     Some(other) => return Err(format!("`engine` is not a string: {other:?}")),
                 };
                 Ok(Request::Open {
@@ -230,7 +232,7 @@ impl Request {
                 doc.push("m", Json::UInt(*m as u64));
                 doc.push("start", Json::Num(*start));
                 if let Some(engine) = engine {
-                    doc.push("engine", Json::from(engine_name(*engine)));
+                    doc.push("engine", Json::from(engine.name()));
                 }
             }
             Request::Arrive {
@@ -409,23 +411,6 @@ impl Response {
     /// The response as one wire line (compact, no trailing newline).
     pub fn render_line(&self) -> String {
         self.doc.render()
-    }
-}
-
-/// Wire spelling of a max-flow engine (`"dinic"` / `"push-relabel"`),
-/// shared with the checkpoint format.
-pub fn engine_name(engine: FlowEngine) -> &'static str {
-    mpss_online::OaCheckpoint::name_of(engine)
-}
-
-/// Parses the wire spelling of a max-flow engine.
-pub fn engine_from_str(name: &str) -> Result<FlowEngine, String> {
-    match name {
-        "dinic" => Ok(FlowEngine::Dinic),
-        "push-relabel" => Ok(FlowEngine::PushRelabel),
-        other => Err(format!(
-            "unknown engine `{other}` (want dinic|push-relabel)"
-        )),
     }
 }
 

@@ -5,17 +5,27 @@
 //! different traces in a directory. The instances share nothing, so the
 //! natural unit of parallelism is the whole solve: [`solve_many`] shards the
 //! batch across an [`mpss_par::ThreadPool`] and returns results in input
-//! order, each with its own per-instance run report.
+//! order.
 //!
 //! Determinism: each instance is solved by exactly one worker with its own
-//! engines and its own [`RecordingCollector`], and the pool's ordered join
-//! puts outputs back in submission order — the batch output is byte-for-byte
-//! the concatenation of `threads = 1` solo runs, whatever the thread count.
+//! engines, and the pool's ordered join puts outputs back in submission
+//! order — the batch output is byte-for-byte the concatenation of
+//! `threads = 1` solo runs, whatever the thread count.
+//!
+//! Observation: [`solve_many`] records nothing. [`solve_many_observed`]
+//! records each instance once, into its own [`TraceCollector`] forked from
+//! the caller's root; [`RecordingCollector::from_trace`] folds one into
+//! that instance's run report, and adopting them into the root in input
+//! order gives the batch trace, one track per instance.
+//!
+//! [`RecordingCollector::from_trace`]: mpss_obs::RecordingCollector::from_trace
 
 use mpss_core::{Instance, ModelError};
 use mpss_numeric::FlowNum;
-use mpss_obs::{Collector, NoopCollector, RecordingCollector, Tee, TrackedCollector};
-use mpss_offline::{optimal_schedule_observed, OfflineOptions, OptimalResult};
+use mpss_obs::{Collector, TraceCollector};
+use mpss_offline::{
+    optimal_schedule_observed, optimal_schedule_with, OfflineOptions, OptimalResult,
+};
 use mpss_par::ThreadPool;
 
 /// One instance's slice of a [`solve_many`] batch.
@@ -23,55 +33,47 @@ pub struct BatchOutput<T: FlowNum> {
     /// The solve outcome (independent per instance; one instance erroring
     /// does not poison the batch).
     pub result: Result<OptimalResult<T>, ModelError>,
-    /// This instance's run report: phase spans, repair-round counters,
-    /// max-flow work counters — everything a solo `--report` run records.
-    pub report: RecordingCollector,
+    /// This instance's event trace, on one track named `instance-<index>`:
+    /// every event a solo observed run records, and nothing else. `None`
+    /// when the batch was not observed.
+    pub trace: Option<TraceCollector>,
 }
 
 /// Solves every instance of `batch` on the pool, returning outputs in input
-/// order. See [`solve_many_observed`] for the instrumented variant.
+/// order. Records nothing; see [`solve_many_observed`].
 pub fn solve_many<T: FlowNum>(
     batch: &[Instance<T>],
     opts: &OfflineOptions,
     pool: &ThreadPool,
 ) -> Vec<BatchOutput<T>> {
-    solve_many_observed(batch, opts, pool, &mut NoopCollector)
+    pool.scope_map(batch.iter().collect(), |instance| BatchOutput {
+        result: optimal_schedule_with(instance, opts),
+        trace: None,
+    })
 }
 
-/// [`solve_many`] with a batch-level [`Collector`].
+/// [`solve_many`] that records each instance into its own trace.
 ///
-/// The caller's collector receives the pool-level counters `par.tasks`
-/// (instances dispatched) and `par.pool.threads`, plus — through forked
-/// per-worker tracks (`worker-0`, `worker-1`, …) adopted back in worker
-/// order — every solver event, each instance wrapped in a `batch.solve`
-/// span. The per-instance solver counters *also* land in each
-/// [`BatchOutput::report`] (the solver reports through a [`Tee`]), which
-/// keeps those reports exactly equal to what a solo observed run of that
-/// instance would record: the `batch.solve` span and worker tracks exist
-/// only on the batch-level collector.
-pub fn solve_many_observed<T: FlowNum, C: TrackedCollector>(
+/// `root` receives the pool-level counters `par.tasks` (instances
+/// dispatched) and `par.pool.threads`. Each instance's trace is forked from
+/// `root` before the fan-out, so all of them share its time axis, and comes
+/// back in [`BatchOutput::trace`].
+pub fn solve_many_observed<T: FlowNum>(
     batch: &[Instance<T>],
     opts: &OfflineOptions,
     pool: &ThreadPool,
-    obs: &mut C,
+    root: &mut TraceCollector,
 ) -> Vec<BatchOutput<T>> {
-    obs.count("par.tasks", batch.len() as u64);
-    obs.count("par.pool.threads", pool.threads() as u64);
-    let items: Vec<&Instance<T>> = batch.iter().collect();
-    pool.scope_map_tracked(items, obs, |_, instance, track| {
-        track.span_start("batch.solve");
-        let mut report = RecordingCollector::new();
-        let result = {
-            let mut tee = Tee(&mut *track, &mut report);
-            optimal_schedule_observed(instance, opts, &mut tee)
-        };
-        report.close_open_spans();
-        track.span_end("batch.solve");
-        // Shard progress lives on the batch-level collector only (a live
-        // metrics bridge sees it as per-worker completion), keeping each
-        // per-instance report equal to a solo observed run.
-        track.count("batch.solved", 1);
-        BatchOutput { result, report }
+    root.count("par.tasks", batch.len() as u64);
+    root.count("par.pool.threads", pool.threads() as u64);
+    let items: Vec<(&Instance<T>, TraceCollector)> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, instance)| (instance, root.fork(&format!("instance-{i}"))))
+        .collect();
+    pool.scope_map(items, |(instance, mut trace)| BatchOutput {
+        result: optimal_schedule_observed(instance, opts, &mut trace),
+        trace: Some(trace),
     })
 }
 
@@ -81,6 +83,7 @@ mod tests {
     use mpss_core::energy::schedule_energy;
     use mpss_core::job::job;
     use mpss_core::power::Polynomial;
+    use mpss_obs::RecordingCollector;
 
     fn batch_of(n: usize) -> Vec<Instance<f64>> {
         (0..n)
@@ -114,6 +117,7 @@ mod tests {
             let e_solo = schedule_energy(&solo.schedule, &p);
             let e_batch = schedule_energy(&batched.schedule, &p);
             assert_eq!(e_solo.to_bits(), e_batch.to_bits());
+            assert!(out.trace.is_none(), "an unobserved batch records nothing");
         }
     }
 
@@ -121,25 +125,24 @@ mod tests {
     fn per_instance_reports_match_solo_observed_runs() {
         let batch = batch_of(4);
         let opts = OfflineOptions::default();
-        let mut obs = RecordingCollector::new();
-        let outputs = solve_many_observed(&batch, &opts, &ThreadPool::new(2), &mut obs);
+        let mut root = TraceCollector::new("main");
+        let outputs = solve_many_observed(&batch, &opts, &ThreadPool::new(2), &mut root);
+        let obs = RecordingCollector::from_trace(&root);
         assert_eq!(obs.counter("par.tasks"), batch.len() as u64);
         assert_eq!(obs.counter("par.pool.threads"), 2);
-        for (instance, out) in batch.iter().zip(&outputs) {
+        for (i, (instance, out)) in batch.iter().zip(&outputs).enumerate() {
+            let trace = out.trace.as_ref().unwrap();
+            assert_eq!(trace.track_names(), [format!("instance-{i}")]);
+            let report = RecordingCollector::from_trace(trace);
             let mut solo = RecordingCollector::new();
             let res = optimal_schedule_observed(instance, &opts, &mut solo).unwrap();
-            assert_eq!(
-                out.report.counter("offline.phases"),
-                res.phases.len() as u64
-            );
-            for key in [
-                "offline.repair_rounds",
-                "offline.maxflow.invocations",
-                "maxflow.dinic.bfs_phases",
-                "maxflow.dinic.augmenting_paths",
-            ] {
-                assert_eq!(out.report.counter(key), solo.counter(key), "{key}");
-            }
+            assert_eq!(report.counter("offline.phases"), res.phases.len() as u64);
+            let counters = |rec: &RecordingCollector| {
+                rec.counters()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(counters(&report), counters(&solo));
         }
     }
 

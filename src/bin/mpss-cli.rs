@@ -17,14 +17,15 @@
 //! mpss-cli postmortem bundle-dir/ [--baseline metrics.prom]
 //! ```
 //!
-//! `--report <path>` attaches a [`RecordingCollector`] to the run and writes
-//! the JSON run report (per-phase spans, max-flow work counters, latency
-//! histograms) it collected. `--trace <path>` additionally streams every
-//! span/instant/counter event into a [`TraceCollector`] and exports Chrome
-//! Trace Event JSON — load it in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing` to see per-worker tracks on one time axis.
-//! `--flame <path>` writes the same trace as collapsed stacks
-//! (`track;outer;inner weight_ns` lines) for flamegraph tooling.
+//! An observed run records every span/instant/counter event once, into a
+//! [`TraceCollector`], and writes what was asked for from that one trace:
+//! `--report <path>` the JSON run report (per-phase spans, max-flow work
+//! counters, latency histograms), which is the trace folded by
+//! [`RecordingCollector::from_trace`]; `--trace <path>` the Chrome Trace
+//! Event JSON — load it in [Perfetto](https://ui.perfetto.dev) or
+//! `chrome://tracing`; `--flame <path>` collapsed stacks
+//! (`track;outer;inner weight_ns` lines) for flamegraph tooling. Without
+//! any of them the solvers run with the no-op collector.
 //! `--cold-flow` (`solve`, `solve-batch`) disables the
 //! warm-start max-flow path, running every repair round from a freshly
 //! built network — the differential oracle the warm path is validated
@@ -61,8 +62,11 @@
 //! instance per task) and `serve` (broadcast advances, one tenant per
 //! task) explicitly; without it the `MPSS_THREADS` environment variable,
 //! then the machine's available parallelism, decide. `solve` and `online`
-//! run on one thread. `solve-batch` prints the pool's effective size, and
-//! its `--trace` carries it as the `par.pool.threads` counter.
+//! run on one thread. `solve-batch` prints the pool's effective size. An
+//! observed batch records each instance into its own trace: `--report-dir`
+//! writes each one's fold, and `--trace`/`--flame` write them appended in
+//! input order, one track per instance (`instance-0`, …), after a `main`
+//! track carrying the `par.tasks` and `par.pool.threads` counters.
 
 use mpss::prelude::*;
 use mpss::sim::{fleet_stats, job_stats, render_gantt, render_svg, SvgOptions};
@@ -204,9 +208,22 @@ fn load(path: &str) -> Result<Instance<f64>, String> {
     read_trace(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))
 }
 
-/// Writes the `--trace` (Chrome Trace Event JSON) and `--flame` (collapsed
-/// stacks) exports of a finished [`TraceCollector`], if requested.
-fn write_trace_outputs(a: &Args<'_>, trace: &TraceCollector) -> Result<(), String> {
+/// `true` when the run must be recorded: a report, trace or flame output
+/// was asked for.
+fn observing(a: &Args<'_>) -> bool {
+    ["report", "report-dir", "trace", "flame"]
+        .iter()
+        .any(|name| a.flag(name).is_some())
+}
+
+/// Writes the requested exports of an observed run's one trace: the
+/// `--report` run report (the trace's fold), the `--trace` Chrome Trace
+/// Event JSON and the `--flame` collapsed stacks.
+fn write_observations(a: &Args<'_>, trace: &TraceCollector) -> Result<(), String> {
+    if let Some(out) = a.flag("report") {
+        write_report(trace, Path::new(out))?;
+        println!("  run report saved to {out}");
+    }
     if let Some(out) = a.flag("trace") {
         trace
             .write_chrome_trace(Path::new(out))
@@ -218,6 +235,16 @@ fn write_trace_outputs(a: &Args<'_>, trace: &TraceCollector) -> Result<(), Strin
         println!("  collapsed stacks saved to {out}");
     }
     Ok(())
+}
+
+/// Writes the run report of `trace`: its fold, with any span an error
+/// return left open force-closed.
+fn write_report(trace: &TraceCollector, path: &Path) -> Result<(), String> {
+    let mut report = RecordingCollector::from_trace(trace);
+    report.close_open_spans();
+    report
+        .write_json(path)
+        .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
@@ -277,13 +304,9 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         warm_start: !a.switches.contains(&"cold-flow"),
         ..Default::default()
     };
-    let mut rec = RecordingCollector::new();
     let mut trace = TraceCollector::new("main");
-    let observing =
-        a.flag("report").is_some() || a.flag("trace").is_some() || a.flag("flame").is_some();
-    let res = if observing {
-        let mut tee = Tee(&mut rec, &mut trace);
-        optimal_schedule_observed(&instance, &opts, &mut tee)
+    let res = if observing(&a) {
+        optimal_schedule_observed(&instance, &opts, &mut trace)
     } else {
         mpss::offline::optimal_schedule_with(&instance, &opts)
     }
@@ -333,12 +356,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         std::fs::write(out, res.schedule.to_json().render_pretty()).map_err(|e| e.to_string())?;
         println!("  schedule saved to {out}");
     }
-    if let Some(out) = a.flag("report") {
-        rec.close_open_spans();
-        rec.write_json(Path::new(out)).map_err(|e| e.to_string())?;
-        println!("  run report saved to {out}");
-    }
-    write_trace_outputs(&a, &trace)?;
+    write_observations(&a, &trace)?;
     Ok(())
 }
 
@@ -373,12 +391,12 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
         ..Default::default()
     };
     let pool = ThreadPool::with_threads(a.threads()?);
-    let mut obs = RecordingCollector::new();
     let mut trace = TraceCollector::new("main");
     let started = std::time::Instant::now();
-    let outputs = {
-        let mut tee = Tee(&mut obs, &mut trace);
-        solve_many_observed(&instances, &opts, &pool, &mut tee)
+    let outputs = if observing(&a) {
+        solve_many_observed(&instances, &opts, &pool, &mut trace)
+    } else {
+        solve_many(&instances, &opts, &pool)
     };
     let elapsed = started.elapsed();
 
@@ -393,7 +411,7 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
         std::fs::create_dir_all(rd).map_err(|e| format!("creating {rd}: {e}"))?;
     }
     let mut failures = 0usize;
-    for ((path, instance), out) in paths.iter().zip(&instances).zip(&outputs) {
+    for ((path, instance), out) in paths.iter().zip(&instances).zip(outputs) {
         let name = path
             .file_stem()
             .and_then(|stem| stem.to_str())
@@ -416,17 +434,20 @@ fn cmd_solve_batch(args: &[String]) -> Result<(), String> {
                 println!("  {name}: FAILED ({e})");
             }
         }
-        if let Some(rd) = report_dir {
-            let target = Path::new(rd).join(format!("{name}.report.json"));
-            out.report
-                .write_json(&target)
-                .map_err(|e| format!("writing {}: {e}", target.display()))?;
+        if let Some(instance_trace) = out.trace {
+            if let Some(rd) = report_dir {
+                write_report(
+                    &instance_trace,
+                    &Path::new(rd).join(format!("{name}.report.json")),
+                )?;
+            }
+            trace.adopt(instance_trace);
         }
     }
     if let Some(rd) = report_dir {
         println!("  per-instance reports saved to {rd}/");
     }
-    write_trace_outputs(&a, &trace)?;
+    write_observations(&a, &trace)?;
     if failures > 0 {
         return Err(format!("{failures} instance(s) failed to solve"));
     }
@@ -440,15 +461,12 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     let alpha = a.alpha()?;
     let p = Polynomial::new(alpha);
     let algo = a.flag("algo").ok_or("--algo oa|avr|bkp required")?;
-    let mut rec = RecordingCollector::new();
     let mut trace = TraceCollector::new("main");
-    let observing =
-        a.flag("report").is_some() || a.flag("trace").is_some() || a.flag("flame").is_some();
+    let observed = observing(&a);
     let (schedule, bound, name) = match algo {
         "oa" => {
-            let oa = if observing {
-                let mut tee = Tee(&mut rec, &mut trace);
-                oa_schedule_observed(&instance, &mut tee)
+            let oa = if observed {
+                oa_schedule_observed(&instance, &mut trace)
             } else {
                 oa_schedule(&instance)
             }
@@ -456,8 +474,8 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
             (oa.schedule, p.oa_bound(), "OA(m)")
         }
         "avr" => {
-            let avr = if observing {
-                avr_schedule_observed(&instance, &mut Tee(&mut rec, &mut trace))
+            let avr = if observed {
+                avr_schedule_observed(&instance, &mut trace)
             } else {
                 avr_schedule(&instance)
             };
@@ -474,10 +492,9 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     };
     validate_schedule(&instance, &schedule, 1e-6)
         .map_err(|v| format!("{name} produced an infeasible schedule: {v:?}"))?;
-    let report = if observing {
-        let mut tee = Tee(&mut rec, &mut trace);
-        record_energy_trajectory(&schedule, &p, &mut tee);
-        competitive_report_observed(&instance, &schedule, &p, bound, &mut tee)
+    let report = if observed {
+        record_energy_trajectory(&schedule, &p, &mut trace);
+        competitive_report_observed(&instance, &schedule, &p, bound, &mut trace)
     } else {
         competitive_report(&instance, &schedule, &p, bound)
     }
@@ -498,12 +515,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         "  within bound  : {}",
         if report.within_bound() { "yes" } else { "NO" }
     );
-    if let Some(out) = a.flag("report") {
-        rec.close_open_spans();
-        rec.write_json(Path::new(out)).map_err(|e| e.to_string())?;
-        println!("  run report saved to {out}");
-    }
-    write_trace_outputs(&a, &trace)?;
+    write_observations(&a, &trace)?;
     Ok(())
 }
 

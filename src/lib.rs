@@ -66,8 +66,8 @@ pub mod prelude {
     pub use mpss_numeric::{FlowNum, Rational};
     pub use mpss_obs::{
         diff_bench_trajectory, diff_reports, http_get, parse_exposition, validate_chrome_trace,
-        BenchGate, Collector, DiffOptions, MetricsCollector, MetricsHub, MetricsServer,
-        NoopCollector, RecordingCollector, Tee, TraceCollector, TrackedCollector,
+        BenchGate, Collector, DiffOptions, MetricsHub, MetricsServer, NoopCollector,
+        RecordingCollector, TraceCollector,
     };
     pub use mpss_offline::canonical::canonicalize;
     pub use mpss_offline::certificate::verify_certificate;

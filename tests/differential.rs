@@ -31,7 +31,6 @@ fn solve(ins: &Instance<f64>, engine: FlowEngine, warm_start: bool) -> OptimalRe
         record_trace: true,
         engine,
         warm_start,
-        ..Default::default()
     };
     mpss::offline::optimal_schedule_with(ins, &opts).unwrap()
 }

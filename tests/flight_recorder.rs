@@ -1,14 +1,13 @@
 //! Property tests of the flight recorder's accounting contract under
-//! random interleavings of `record`, `dump_json`, and `compact_before_seq`
-//! (the three operations the daemon performs on a ring), plus the ring's
-//! capacity invariants:
+//! random interleavings of `record` and `dump_json` (the two operations the
+//! daemon performs on a ring), plus the ring's capacity invariants:
 //!
 //! * the ring never retains more than `capacity` events;
 //! * retained events are strictly increasing in `seq` and monotone in
 //!   `ts_ns`;
 //! * `recorded_total == len + dropped_total` at every step — every event
-//!   ever recorded is either retained or accounted as dropped, exactly
-//!   once, whether it left by capacity eviction or by compaction.
+//!   ever recorded is either retained or accounted as dropped by capacity
+//!   eviction, exactly once.
 
 use mpss::model::json::arr;
 use mpss::numeric::rng::{check, Rng};
@@ -19,19 +18,15 @@ use mpss::obs::{FlightEventKind, FlightRecorder};
 #[derive(Clone, Debug)]
 enum Op {
     Record(u8),
-    /// Compact behind `seq_bound = recorded_total * fraction/255` — spans
-    /// "compact nothing" through "compact past the end".
-    Compact(u8),
     Dump,
 }
 
-/// Records outweigh compactions and dumps 5:1:1, mirroring the daemon
-/// (every request records; bundles are rare).
+/// Records outweigh dumps 5:1, mirroring the daemon (every request
+/// records; bundles are rare).
 fn op(rng: &mut Rng) -> Op {
     let payload = rng.gen_range(0u8..=255);
-    match rng.gen_range(0..7) {
+    match rng.gen_range(0..6) {
         0..=4 => Op::Record(payload),
-        5 => Op::Compact(payload),
         _ => Op::Dump,
     }
 }
@@ -86,14 +81,6 @@ fn random_interleavings_preserve_the_accounting() {
                     let seq = flight.record(event(*variant));
                     assert_eq!(seq, recorded, "seqs are dense and never reused");
                     recorded += 1;
-                }
-                Op::Compact(fraction) => {
-                    let bound = recorded * u64::from(*fraction) / 255;
-                    let dropped_before = flight.dropped_total();
-                    let surviving = flight.events().filter(|e| e.seq >= bound).count();
-                    flight.compact_before_seq(bound);
-                    assert_eq!(flight.len(), surviving);
-                    assert!(flight.dropped_total() >= dropped_before);
                 }
                 Op::Dump => {
                     let dump = flight.dump_json();

@@ -38,7 +38,6 @@ fn check_offline_properties(ins: &Instance<f64>) {
                 record_trace: true,
                 warm_start,
                 engine,
-                ..Default::default()
             };
             let res = mpss::offline::optimal_schedule_with(ins, &opts).unwrap();
             if let Err(e) = verify_certificate(ins, &res, 1e-9) {

@@ -130,7 +130,6 @@ fn golden_corpus_warm_equals_cold() {
                 record_trace: true,
                 engine,
                 warm_start,
-                ..Default::default()
             };
             mpss::offline::optimal_schedule_with(&ins, &opts).unwrap()
         };

@@ -1,14 +1,12 @@
 //! Integration tests for the live metrics layer: labeled session telemetry
 //! round-trips through the hand-rolled `/metrics` endpoint and exposition
-//! parser, the `MetricsCollector` bridge maps solver counters onto
-//! manifest-listed Prometheus families, and the `report-diff --bench` /
-//! `trace-check` / `scrape` CLI gates behave.
+//! parser onto manifest-listed Prometheus families, and the
+//! `report-diff --bench` / `trace-check` / `scrape` CLI gates behave.
 //!
 //! Like `tests/trace_obs.rs`, everything here goes through `mpss_obs` and
 //! `std` only — no serde, no HTTP crate.
 
 use mpss::obs::names;
-use mpss::obs::MetricsCollector;
 use mpss::prelude::*;
 use std::path::PathBuf;
 use std::process::Command;
@@ -98,43 +96,6 @@ fn avr_session_publishes_under_its_own_algo_label() {
         .and_then(|f| f.sample("mpss_session_speed", &[("algo", "avr"), ("proc", "0")]))
         .expect("speed series");
     assert_eq!(speed0.value, 4.0);
-}
-
-#[test]
-fn metrics_collector_bridges_solver_counters_to_manifest_families() {
-    let instance = Instance::new(
-        2,
-        vec![job(0.0, 1.0, 2.0), job(0.0, 2.0, 1.0), job(0.5, 3.0, 1.5)],
-    )
-    .unwrap();
-    let hub = MetricsHub::new();
-    let mut bridge = MetricsCollector::new(&hub);
-    optimal_schedule_observed(&instance, &OfflineOptions::default(), &mut bridge).unwrap();
-
-    let expo = parse_exposition(&hub.render()).unwrap();
-    let phases = expo
-        .family("mpss_offline_phases_total")
-        .and_then(|f| f.sample("mpss_offline_phases_total", &[("track", "main")]))
-        .expect("bridged offline.phases counter");
-    assert!(phases.value >= 1.0);
-    // Span durations land in the shared span histogram, labeled by span.
-    let spans = expo
-        .family("mpss_span_seconds")
-        .expect("span seconds family");
-    assert!(
-        spans
-            .samples
-            .iter()
-            .any(|s| s.label("span") == Some("offline.optimal_schedule")),
-        "no offline.optimal_schedule span sample in {spans:?}"
-    );
-    for family in &expo.families {
-        assert!(
-            names::known_metric(&family.name),
-            "{} missing from the manifest",
-            family.name
-        );
-    }
 }
 
 #[test]

@@ -78,7 +78,6 @@ fn golden_corpus_batched_engines_match_solo_cold_dinic() {
         record_trace: true,
         engine,
         warm_start,
-        ..Default::default()
     };
     let cold: Vec<_> = corpus
         .iter()
@@ -153,8 +152,9 @@ fn pool_width_is_observable() {
     let pool = ThreadPool::new(4);
     assert_eq!(pool.threads(), 4);
     let batch = vec![random_instance(4, 2, 1), random_instance(5, 2, 2)];
-    let mut rec = RecordingCollector::new();
-    let outs = solve_many_observed(&batch, &OfflineOptions::default(), &pool, &mut rec);
+    let mut trace = TraceCollector::new("main");
+    let outs = solve_many_observed(&batch, &OfflineOptions::default(), &pool, &mut trace);
+    let rec = RecordingCollector::from_trace(&trace);
     assert_eq!(outs.len(), 2);
     assert_eq!(rec.counter("par.pool.threads"), 4);
     assert_eq!(rec.counter("par.tasks"), 2);

@@ -1,7 +1,8 @@
-//! Integration tests for the streaming trace layer: solves on forked tracks
-//! produce multi-track Chrome Trace Event JSON, batch runs get one track per
-//! worker, the counter-name manifest covers everything the solvers emit,
-//! and the `report-diff` / `trace-check` CLI gates behave.
+//! Integration tests for the streaming trace layer: a run report is the
+//! fold of the run's trace, solves on forked tracks produce multi-track
+//! Chrome Trace Event JSON, batch runs get one track per instance, the
+//! counter-name manifest covers everything the solvers emit, and the
+//! `report-diff` / `trace-check` CLI gates behave.
 //!
 //! Everything here goes through `mpss_obs::json` — no serde — so the tests
 //! run identically with or without the real serde stack.
@@ -60,8 +61,66 @@ fn two_lane_trace() -> TraceCollector {
     trace
 }
 
+/// What a run report says about a run, less its timings: every counter,
+/// every histogram's name and sample count, and the span forest's names
+/// and nesting.
+type ReportShape = (Vec<(String, u64)>, Vec<(String, u64)>, Vec<String>);
+
+fn shape(rec: &RecordingCollector) -> ReportShape {
+    fn tree(span: &mpss::obs::SpanNode) -> String {
+        let children: Vec<String> = span.children.iter().map(tree).collect();
+        format!("{}({})", span.name, children.join(","))
+    }
+    (
+        rec.counters().map(|(k, v)| (k.to_string(), v)).collect(),
+        rec.histograms()
+            .map(|(k, h)| (k.to_string(), h.count()))
+            .collect(),
+        rec.spans().iter().map(tree).collect(),
+    )
+}
+
 #[test]
-fn batch_trace_forks_one_track_per_worker() {
+fn run_report_is_the_fold_of_the_trace() {
+    let instance = repair_instance();
+    let p = Polynomial::new(3.0);
+    for engine in [FlowEngine::Dinic, FlowEngine::PushRelabel] {
+        for warm_start in [true, false] {
+            let opts = OfflineOptions {
+                engine,
+                warm_start,
+                ..Default::default()
+            };
+            let mut live = RecordingCollector::new();
+            optimal_schedule_observed(&instance, &opts, &mut live).unwrap();
+            let mut trace = TraceCollector::new("main");
+            optimal_schedule_observed(&instance, &opts, &mut trace).unwrap();
+            assert_eq!(
+                shape(&RecordingCollector::from_trace(&trace)),
+                shape(&live),
+                "{engine:?} warm={warm_start}"
+            );
+        }
+    }
+    // The `online --algo oa --report` path: an OA replay, its energy
+    // trajectory and the competitive report's offline solve.
+    fn online<C: Collector>(instance: &Instance<f64>, p: &Polynomial, obs: &mut C) {
+        let oa = oa_schedule_observed(instance, obs).unwrap();
+        record_energy_trajectory(&oa.schedule, p, obs);
+        competitive_report_observed(instance, &oa.schedule, p, p.oa_bound(), obs).unwrap();
+    }
+    let mut live = RecordingCollector::new();
+    online(&instance, &p, &mut live);
+    let mut trace = TraceCollector::new("main");
+    online(&instance, &p, &mut trace);
+    let fold = RecordingCollector::from_trace(&trace);
+    assert!(fold.counter("oa.replans") > 0);
+    assert!(fold.histogram("driver.energy_trajectory").is_some());
+    assert_eq!(shape(&fold), shape(&live));
+}
+
+#[test]
+fn batch_trace_forks_one_track_per_instance() {
     let batch: Vec<Instance<f64>> = (0..4).map(|_| repair_instance()).collect();
     let mut trace = TraceCollector::new("main");
     let outputs = solve_many_observed(
@@ -70,62 +129,102 @@ fn batch_trace_forks_one_track_per_worker() {
         &ThreadPool::new(2),
         &mut trace,
     );
-    assert!(outputs.iter().all(|o| o.result.is_ok()));
-    assert_eq!(trace.track_names(), ["main", "worker-0", "worker-1"]);
-    // All four instances ran inside a batch.solve span on some worker track.
-    let solves = trace
+    for out in outputs {
+        assert!(out.result.is_ok());
+        trace.adopt(out.trace.expect("an observed batch traces every instance"));
+    }
+    assert_eq!(
+        trace.track_names(),
+        [
+            "main",
+            "instance-0",
+            "instance-1",
+            "instance-2",
+            "instance-3"
+        ]
+    );
+    // Each instance's solve sits on its own track, in input order; `main`
+    // carries the pool counters and nothing else.
+    let solves: Vec<u32> = trace
         .events()
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Begin("batch.solve"))
-        .count();
-    assert_eq!(solves, batch.len());
+        .filter(|e| e.kind == TraceEventKind::Begin("offline.optimal_schedule"))
+        .map(|e| e.track)
+        .collect();
+    assert_eq!(solves, [1, 2, 3, 4]);
+    let on_main: Vec<TraceEventKind> = trace
+        .events()
+        .iter()
+        .filter(|e| e.track == 0)
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(
+        on_main,
+        [
+            TraceEventKind::Count("par.tasks", 4),
+            TraceEventKind::Count("par.pool.threads", 2),
+        ]
+    );
     let check = mpss::obs::validate_chrome_trace(&trace.chrome_trace().render()).unwrap();
-    // All three tracks exist; a worker that never won the work-stealing race
-    // (possible on a single-core machine) carries no events, and the
-    // validator only counts populated tracks.
-    assert!((2..=3).contains(&check.tracks), "{check:?}");
+    assert_eq!(check.tracks, 5, "{check:?}");
+    assert_eq!(check.track_names, trace.track_names());
 }
 
 #[test]
 fn batch_collector_totals_equal_the_merged_per_instance_reports() {
     let batch: Vec<Instance<f64>> = (0..3).map(|_| repair_instance()).collect();
-    let mut obs = RecordingCollector::new();
+    let mut trace = TraceCollector::new("main");
     let outputs = solve_many_observed(
         &batch,
         &OfflineOptions::default(),
         &ThreadPool::new(2),
-        &mut obs,
+        &mut trace,
     );
-    // Every counter a per-instance report recorded also reached the batch
-    // collector through the worker tracks, and the totals line up exactly.
-    for out in &outputs {
-        assert!(out.report.counter("offline.phases") > 0);
+    // Each instance's report is its own trace's fold; the batch trace then
+    // adopts that trace.
+    let reports: Vec<RecordingCollector> = outputs
+        .into_iter()
+        .map(|out| {
+            let instance_trace = out.trace.unwrap();
+            let report = RecordingCollector::from_trace(&instance_trace);
+            trace.adopt(instance_trace);
+            report
+        })
+        .collect();
+    let batch_report = RecordingCollector::from_trace(&trace);
+    for report in &reports {
+        assert!(report.counter("offline.phases") > 0);
     }
-    let mut keys: Vec<&str> = outputs
+    // The batch trace's fold adds up the per-instance reports exactly, on
+    // top of the main track's pool counters.
+    assert_eq!(batch_report.counter("par.tasks"), 3);
+    let mut keys: Vec<&str> = reports
         .iter()
-        .flat_map(|o| o.report.counters().map(|(k, _)| k))
+        .flat_map(|r| r.counters().map(|(k, _)| k))
         .collect();
     keys.sort_unstable();
     keys.dedup();
     for key in keys {
-        let sum: u64 = outputs.iter().map(|o| o.report.counter(key)).sum();
-        assert_eq!(obs.counter(key), sum, "{key}");
+        let sum: u64 = reports.iter().map(|r| r.counter(key)).sum();
+        assert_eq!(batch_report.counter(key), sum, "{key}");
     }
-    // Histograms merge the same way: per-key sample counts add up.
-    let mut hist_keys: Vec<&str> = outputs
+    // Histograms add the same way: per-key sample counts add up.
+    let mut hist_keys: Vec<&str> = reports
         .iter()
-        .flat_map(|o| o.report.histograms().map(|(k, _)| k))
+        .flat_map(|r| r.histograms().map(|(k, _)| k))
         .collect();
     hist_keys.sort_unstable();
     hist_keys.dedup();
     for key in hist_keys {
-        let sum: u64 = outputs
+        let sum: u64 = reports
             .iter()
-            .filter_map(|o| o.report.histogram(key))
+            .filter_map(|r| r.histogram(key))
             .map(|h| h.count())
             .sum();
-        assert_eq!(obs.histogram(key).unwrap().count(), sum, "{key}");
+        assert_eq!(batch_report.histogram(key).unwrap().count(), sum, "{key}");
     }
+    // One solve span per instance, in input order.
+    assert_eq!(batch_report.spans().len(), batch.len());
 }
 
 #[test]
@@ -133,13 +232,10 @@ fn manifest_covers_everything_the_stack_emits() {
     let instance = repair_instance();
     let mut rec = RecordingCollector::new();
 
-    // Offline: warm solves on both engines, push-relabel's on a forked
-    // track adopted back.
+    // Offline: warm solves on both engines.
     let opts = OfflineOptions::default();
     optimal_schedule_observed(&instance, &opts, &mut rec).unwrap();
-    let mut lane = rec.fork("push-relabel");
-    optimal_schedule_observed(&instance, &push_relabel(), &mut lane).unwrap();
-    rec.adopt(lane);
+    optimal_schedule_observed(&instance, &push_relabel(), &mut rec).unwrap();
     // Offline: cold solve exercises the cold counters.
     let cold = OfflineOptions {
         warm_start: false,
@@ -152,16 +248,22 @@ fn manifest_covers_everything_the_stack_emits() {
     record_energy_trajectory(&oa.schedule, &p, &mut rec);
     competitive_report_observed(&instance, &oa.schedule, &p, p.oa_bound(), &mut rec).unwrap();
     avr_schedule_observed(&instance, &mut rec);
-    // Batch over the pool.
-    let batch = vec![instance.clone(), instance.clone()];
-    solve_many_observed(&batch, &opts, &ThreadPool::new(2), &mut rec);
     rec.close_open_spans();
+    // Batch over the pool, folded from its trace.
+    let batch = vec![instance.clone(), instance.clone()];
+    let mut trace = TraceCollector::new("main");
+    for out in solve_many_observed(&batch, &opts, &ThreadPool::new(2), &mut trace) {
+        trace.adopt(out.trace.unwrap());
+    }
+    let batch_report = RecordingCollector::from_trace(&trace);
 
-    let unknown = names::unknown_keys(
-        rec.counters().map(|(k, _)| k),
-        rec.histograms().map(|(k, _)| k),
-    );
-    assert!(unknown.is_empty(), "manifest is missing: {unknown:?}");
+    for report in [&rec, &batch_report] {
+        let unknown = names::unknown_keys(
+            report.counters().map(|(k, _)| k),
+            report.histograms().map(|(k, _)| k),
+        );
+        assert!(unknown.is_empty(), "manifest is missing: {unknown:?}");
+    }
 }
 
 #[test]
