@@ -184,9 +184,9 @@ fn main() {
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let rss_end = rss_mb();
 
-    // Always-on black box: the flight recorders and structured logging ran
-    // for the whole soak. Total their cost (pre-kill tallies were carried)
-    // and hold the line at <1% of wall time.
+    // Always-on black box: the flight recorders ran for the whole soak.
+    // Total their cost (pre-kill tallies were carried) and hold the line at
+    // <1% of wall time.
     let obs_ns = obs_ns_carry + daemon.obs_overhead_ns();
     let (live_recorded, live_dropped) = daemon.flight_totals();
     let flight_recorded = flight_carry.0 + live_recorded;

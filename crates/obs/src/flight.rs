@@ -2,10 +2,12 @@
 //!
 //! Metrics aggregate and traces must be armed in advance; the flight
 //! recorder is the third leg — an always-on, fixed-capacity ring of the
-//! *recent past*: protocol requests, replan summaries (latency, work,
-//! patched arcs, winning engine), and error events. When a tenant
-//! misbehaves, the postmortem bundle dumps the ring and an incident can be
-//! reconstructed after the fact.
+//! *recent past*: protocol requests (each failure with its error kind and
+//! message), replan summaries (latency, work, patched arcs, winning
+//! engine), and postmortem-bundle writes. When a tenant misbehaves, the
+//! postmortem bundle dumps the ring and an incident can be reconstructed
+//! after the fact. The daemon also mirrors the events that carry a
+//! [`Level`] to stderr, so an operator's log and the rings tell one story.
 //!
 //! The bound is part of the contract and is itself observable:
 //!
@@ -17,38 +19,111 @@
 //!   timestamp, so a dumped ring is always in order.
 //!
 //! ```
-//! use mpss_obs::flight::{FlightEventKind, FlightRecorder};
+//! use mpss_obs::flight::{Failure, FlightEventKind, FlightRecorder};
 //!
 //! let mut flight = FlightRecorder::new(2);
-//! flight.record(FlightEventKind::request("open", true, None));
-//! flight.record(FlightEventKind::error("planning", "infeasible"));
-//! flight.record(FlightEventKind::request("arrive", true, None));
+//! flight.record(FlightEventKind::request("open", None));
+//! flight.record(FlightEventKind::request(
+//!     "arrive",
+//!     Some(Failure::new("bad-job", "volume must be positive")),
+//! ));
+//! flight.record(FlightEventKind::request("arrive", None));
 //! assert_eq!(flight.len(), 2); // the open was evicted…
 //! assert_eq!(flight.dropped_total(), 1); // …and accounted for
 //! assert_eq!(flight.recorded_total(), 3);
 //! ```
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::time::Instant;
 
 use crate::json::Json;
 
+/// Severity, ordered: `Trace < Debug < Info < Warn < Error`. The daemon
+/// mirrors an event to stderr when its level is at least the configured
+/// threshold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Level {
+    /// Fine-grained flow tracing.
+    Trace,
+    /// Diagnostic detail useful when chasing a specific bug.
+    Debug,
+    /// Normal operational events (tenant opened or restored).
+    Info,
+    /// Something surprising that the daemon recovered from.
+    Warn,
+    /// A request or subsystem failed.
+    Error,
+}
+
+impl Level {
+    /// All levels, ascending.
+    pub const ALL: [Level; 5] = [
+        Level::Trace,
+        Level::Debug,
+        Level::Info,
+        Level::Warn,
+        Level::Error,
+    ];
+
+    /// The wire/flag spelling: `"trace"`, `"debug"`, `"info"`, `"warn"`,
+    /// `"error"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Level::Trace => "trace",
+            Level::Debug => "debug",
+            Level::Info => "info",
+            Level::Warn => "warn",
+            Level::Error => "error",
+        }
+    }
+
+    /// Parses a flag spelling back into a level.
+    pub fn parse(text: &str) -> Option<Level> {
+        Level::ALL.into_iter().find(|l| l.as_str() == text)
+    }
+}
+
+impl fmt::Display for Level {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Why a request failed: its stable wire error kind and its message.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Failure {
+    /// The stable error kind, e.g. `"bad-job"`.
+    pub kind: &'static str,
+    /// Human-readable detail, as the client saw it.
+    pub message: String,
+}
+
+impl Failure {
+    /// A failure of `kind` saying `message`.
+    pub fn new(kind: &'static str, message: impl Into<String>) -> Failure {
+        Failure {
+            kind,
+            message: message.into(),
+        }
+    }
+}
+
 /// What happened: one of the three event classes the recorder keeps.
 ///
-/// The op, engine, and error-kind vocabularies are closed (protocol ops,
-/// solver engines, stable error kinds), so those fields are `&'static str`
-/// — recording a request or replan event on the hot path allocates nothing.
-/// Only [`Error`](FlightEventKind::Error) messages are dynamic.
+/// The op, engine, error-kind and bundle-reason vocabularies are closed
+/// (protocol ops, solver engines, stable error kinds, bundle triggers), so
+/// those fields are `&'static str` — recording a routine request or replan
+/// event on the hot path allocates nothing. Only failures and bundles carry
+/// dynamic text, boxed so a [`FlightEvent`] stays 64 bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightEventKind {
     /// A protocol request was handled.
     Request {
         /// The wire op, e.g. `"arrive"`.
         op: &'static str,
-        /// Whether the response was `ok`.
-        ok: bool,
-        /// The error kind when `ok` is false.
-        error_kind: Option<&'static str>,
+        /// Why it failed; `None` when the response was `ok`.
+        failure: Option<Box<Failure>>,
     },
     /// A replan ran to completion.
     Replan {
@@ -61,23 +136,22 @@ pub enum FlightEventKind {
         /// The engine that produced the plan, `"dinic"` or `"push-relabel"`.
         engine: &'static str,
     },
-    /// Something failed.
-    Error {
-        /// The stable error kind, e.g. `"planning"`.
-        kind: &'static str,
-        /// Human-readable detail.
-        message: String,
+    /// A postmortem bundle was written, or writing it failed.
+    Bundle {
+        /// The trigger, e.g. `"slow-replan"`.
+        reason: &'static str,
+        /// The bundle's path, or the error that stopped the write.
+        outcome: Result<Box<str>, Box<str>>,
     },
 }
 
 impl FlightEventKind {
     /// A [`FlightEventKind::Request`] event.
-    pub fn request(
-        op: &'static str,
-        ok: bool,
-        error_kind: Option<&'static str>,
-    ) -> FlightEventKind {
-        FlightEventKind::Request { op, ok, error_kind }
+    pub fn request(op: &'static str, failure: Option<Failure>) -> FlightEventKind {
+        FlightEventKind::Request {
+            op,
+            failure: failure.map(Box::new),
+        }
     }
 
     /// A [`FlightEventKind::Replan`] event.
@@ -95,21 +169,58 @@ impl FlightEventKind {
         }
     }
 
-    /// A [`FlightEventKind::Error`] event.
-    pub fn error(kind: &'static str, message: &str) -> FlightEventKind {
-        FlightEventKind::Error {
-            kind,
-            message: message.to_string(),
+    /// A [`FlightEventKind::Bundle`] event: `Ok(path)` of the written
+    /// bundle, or `Err(error)` when writing it failed.
+    pub fn bundle(reason: &'static str, outcome: Result<String, String>) -> FlightEventKind {
+        FlightEventKind::Bundle {
+            reason,
+            outcome: outcome
+                .map(String::into_boxed_str)
+                .map_err(String::into_boxed_str),
         }
     }
 
     /// The event class as a stable string: `"request"`, `"replan"`,
-    /// `"error"`.
+    /// `"bundle"`.
     pub fn class(&self) -> &'static str {
         match self {
             FlightEventKind::Request { .. } => "request",
             FlightEventKind::Replan { .. } => "replan",
-            FlightEventKind::Error { .. } => "error",
+            FlightEventKind::Bundle { .. } => "bundle",
+        }
+    }
+
+    /// Appends `kind` and the class-specific fields to the JSON object
+    /// `obj`.
+    pub fn push_fields(&self, obj: &mut Json) {
+        obj.push("kind", Json::from(self.class()));
+        match self {
+            FlightEventKind::Request { op, failure } => {
+                obj.push("op", Json::from(*op));
+                obj.push("ok", Json::Bool(failure.is_none()));
+                if let Some(failure) = failure {
+                    obj.push("error_kind", Json::from(failure.kind));
+                    obj.push("message", Json::from(failure.message.as_str()));
+                }
+            }
+            FlightEventKind::Replan {
+                latency_ms,
+                work_ops,
+                patched_arcs,
+                engine,
+            } => {
+                obj.push("latency_ms", Json::from(*latency_ms));
+                obj.push("work_ops", Json::from(*work_ops));
+                obj.push("patched_arcs", Json::from(*patched_arcs));
+                obj.push("engine", Json::from(*engine));
+            }
+            FlightEventKind::Bundle { reason, outcome } => {
+                obj.push("reason", Json::from(*reason));
+                match outcome {
+                    Ok(path) => obj.push("path", Json::from(&**path)),
+                    Err(error) => obj.push("error", Json::from(&**error)),
+                };
+            }
         }
     }
 }
@@ -133,31 +244,7 @@ impl FlightEvent {
         let mut obj = Json::object();
         obj.push("seq", Json::from(self.seq));
         obj.push("ts_ns", Json::from(self.ts_ns));
-        obj.push("kind", Json::from(self.kind.class()));
-        match &self.kind {
-            FlightEventKind::Request { op, ok, error_kind } => {
-                obj.push("op", Json::from(*op));
-                obj.push("ok", Json::Bool(*ok));
-                if let Some(kind) = error_kind {
-                    obj.push("error_kind", Json::from(*kind));
-                }
-            }
-            FlightEventKind::Replan {
-                latency_ms,
-                work_ops,
-                patched_arcs,
-                engine,
-            } => {
-                obj.push("latency_ms", Json::from(*latency_ms));
-                obj.push("work_ops", Json::from(*work_ops));
-                obj.push("patched_arcs", Json::from(*patched_arcs));
-                obj.push("engine", Json::from(*engine));
-            }
-            FlightEventKind::Error { kind, message } => {
-                obj.push("error_kind", Json::from(*kind));
-                obj.push("message", Json::from(message.as_str()));
-            }
-        }
+        self.kind.push_fields(&mut obj);
         obj
     }
 }
@@ -253,12 +340,28 @@ mod tests {
     use super::*;
 
     #[test]
+    fn levels_order_parse_and_render() {
+        assert!(Level::Trace < Level::Debug);
+        assert!(Level::Warn < Level::Error);
+        for level in Level::ALL {
+            assert_eq!(Level::parse(level.as_str()), Some(level));
+        }
+        assert_eq!(Level::parse("loud"), None);
+    }
+
+    #[test]
+    fn an_event_is_64_bytes() {
+        // A fleet daemon holds one ring per tenant: failure and bundle text
+        // is boxed so the routine event stays this small.
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 64);
+    }
+
+    #[test]
     fn capacity_bounds_the_ring_and_accounts_drops() {
         let mut flight = FlightRecorder::new(3);
         for i in 0..10 {
             flight.record(FlightEventKind::request(
                 if i % 2 == 0 { "arrive" } else { "advance" },
-                true,
                 None,
             ));
         }
@@ -274,7 +377,10 @@ mod tests {
     fn events_stay_in_monotonic_order() {
         let mut flight = FlightRecorder::new(4);
         for _ in 0..9 {
-            flight.record(FlightEventKind::error("planning", "x"));
+            flight.record(FlightEventKind::request(
+                "arrive",
+                Some(Failure::new("planning", "x")),
+            ));
         }
         let events: Vec<&FlightEvent> = flight.events().collect();
         for pair in events.windows(2) {
@@ -286,28 +392,44 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_to_one() {
         let mut flight = FlightRecorder::new(0);
-        flight.record(FlightEventKind::request("open", true, None));
+        flight.record(FlightEventKind::request("open", None));
         assert_eq!(flight.capacity(), 1);
         assert_eq!(flight.len(), 1);
     }
 
     #[test]
     fn dump_json_carries_the_invariant_and_event_fields() {
-        let mut flight = FlightRecorder::new(2);
+        let mut flight = FlightRecorder::new(4);
         flight.record(FlightEventKind::replan(1.25, 42, 7, "dinic"));
-        flight.record(FlightEventKind::request("arrive", false, Some("bad-job")));
+        flight.record(FlightEventKind::request(
+            "arrive",
+            Some(Failure::new("bad-job", "volume must be positive")),
+        ));
+        flight.record(FlightEventKind::bundle(
+            "debug-dump",
+            Ok("pm/a-0000".into()),
+        ));
+        flight.record(FlightEventKind::bundle("panic", Err("disk full".into())));
         let dump = flight.dump_json();
-        assert_eq!(dump.get("capacity"), Some(&Json::from(2u64)));
-        assert_eq!(dump.get("recorded_total"), Some(&Json::from(2u64)));
+        assert_eq!(dump.get("capacity"), Some(&Json::from(4u64)));
+        assert_eq!(dump.get("recorded_total"), Some(&Json::from(4u64)));
         assert_eq!(dump.get("dropped_total"), Some(&Json::from(0u64)));
         let Some(Json::Arr(events)) = dump.get("events") else {
             panic!("events array missing");
         };
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 4);
         assert_eq!(events[0].get("kind"), Some(&Json::from("replan")));
         assert_eq!(events[0].get("engine"), Some(&Json::from("dinic")));
         assert_eq!(events[0].get("work_ops"), Some(&Json::from(42u64)));
+        assert_eq!(events[1].get("ok"), Some(&Json::Bool(false)));
         assert_eq!(events[1].get("error_kind"), Some(&Json::from("bad-job")));
+        assert_eq!(
+            events[1].get("message"),
+            Some(&Json::from("volume must be positive"))
+        );
+        assert_eq!(events[2].get("kind"), Some(&Json::from("bundle")));
+        assert_eq!(events[2].get("path"), Some(&Json::from("pm/a-0000")));
+        assert_eq!(events[3].get("error"), Some(&Json::from("disk full")));
         // The dump round-trips through the parser.
         assert_eq!(Json::parse(&dump.render()).unwrap(), dump);
     }

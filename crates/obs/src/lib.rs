@@ -52,7 +52,6 @@ pub mod diff;
 pub mod expo;
 pub mod flight;
 pub mod json;
-pub mod log;
 pub mod metrics;
 pub mod names;
 pub mod serve;
@@ -65,9 +64,8 @@ mod trace;
 pub use chrome::{validate_chrome_trace, TraceCheck};
 pub use diff::{diff_bench_trajectory, diff_reports, BenchGate, DiffOptions, ReportDiff};
 pub use expo::{parse_exposition, ExpoFamily, ExpoSample, Exposition};
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
+pub use flight::{Failure, FlightEvent, FlightEventKind, FlightRecorder, Level};
 pub use hist::{Histogram, HistogramSummary};
-pub use log::{Level, LogRecord, LogSink, Logger, RingSink, StderrSink};
 pub use metrics::{
     Counter, Gauge, MetricKind, MetricsHub, RingSampler, SnapshotRow, SnapshotValue,
     WindowHistogram,

@@ -1,14 +1,13 @@
 //! The instrumentation-key manifest.
 //!
 //! Every event name the workspace emits is listed here, in one place:
-//! counter, histogram, span and instant names, live-metric families,
-//! flight-recorder event kinds and log targets. Two things hang off the
-//! manifest:
+//! counter, histogram, span and instant names, live-metric families and
+//! flight-recorder event kinds. Two things hang off the manifest:
 //!
 //! * coverage tests run the stack end to end and assert every name they
 //!   saw is listed — `manifest_covers_everything_the_stack_emits`
 //!   (`tests/trace_obs.rs`) for collector keys, and the daemon's unit
-//!   tests for metric families, flight kinds and log targets — so a
+//!   tests for metric families and flight kinds — so a
 //!   typo'd name at an instrumentation point fails CI instead of silently
 //!   forking a new one;
 //! * the DESIGN.md observability table is generated from
@@ -195,10 +194,6 @@ pub const METRICS: &[(&str, &str)] = &[
         "gauge: flight-recorder ring occupancy, by tenant",
     ),
     (
-        "mpss_serve_log_records_total",
-        "counter: structured log records the daemon emitted",
-    ),
-    (
         "mpss_serve_postmortem_total",
         "counter: postmortem bundles written, by trigger reason",
     ),
@@ -248,25 +243,18 @@ pub const METRICS: &[(&str, &str)] = &[
 /// [`FlightEventKind::class`](crate::FlightEventKind::class), which a
 /// postmortem bundle's flight dump carries as `kind`.
 pub const FLIGHT_KINDS: &[(&str, &str)] = &[
-    ("error", "a request failed or its handler panicked"),
+    (
+        "bundle",
+        "a postmortem bundle was written (reason, path), or writing one failed (reason, error)",
+    ),
     (
         "replan",
         "an OA replan ran: latency, work, patched arcs, engine",
     ),
-    ("request", "a protocol request was handled"),
-];
-
-/// Every structured-log target, sorted: the `target` of the daemon's
-/// [`Logger`](crate::Logger) records.
-pub const LOG_TARGETS: &[(&str, &str)] = &[
-    ("serve.open", "a tenant session was opened"),
-    ("serve.panic", "a request handler panicked and was caught"),
     (
-        "serve.postmortem",
-        "a postmortem bundle was written, or writing one failed",
+        "request",
+        "a protocol request was handled; a failed one carries its error kind and message",
     ),
-    ("serve.request", "a request failed"),
-    ("serve.restore", "a tenant was restored from a checkpoint"),
 ];
 
 fn listed(table: &[(&str, &str)], name: &str) -> bool {
@@ -282,11 +270,6 @@ pub fn known_metric(family: &str) -> bool {
 /// `true` if `kind` is a manifest flight-recorder event kind.
 pub fn known_flight_kind(kind: &str) -> bool {
     listed(FLIGHT_KINDS, kind)
-}
-
-/// `true` if `target` is a manifest log target.
-pub fn known_log_target(target: &str) -> bool {
-    listed(LOG_TARGETS, target)
 }
 
 /// `true` if `name` is a manifest counter — including instant names, which
@@ -337,14 +320,13 @@ pub fn unknown_keys<'a>(
 /// two in sync).
 pub fn markdown_table() -> String {
     let mut out = String::from("| kind | key | meaning |\n|---|---|---|\n");
-    let sections: [(&str, &[(&str, &str)]); 7] = [
+    let sections: [(&str, &[(&str, &str)]); 6] = [
         ("counter", COUNTERS),
         ("histogram", HISTOGRAMS),
         ("span", SPANS),
         ("instant", INSTANTS),
         ("metric", METRICS),
         ("flight", FLIGHT_KINDS),
-        ("log", LOG_TARGETS),
     ];
     for (kind, table) in sections {
         for (key, meaning) in table {
@@ -360,15 +342,7 @@ mod tests {
 
     #[test]
     fn tables_are_sorted_and_unique() {
-        for table in [
-            COUNTERS,
-            HISTOGRAMS,
-            SPANS,
-            INSTANTS,
-            METRICS,
-            FLIGHT_KINDS,
-            LOG_TARGETS,
-        ] {
+        for table in [COUNTERS, HISTOGRAMS, SPANS, INSTANTS, METRICS, FLIGHT_KINDS] {
             for pair in table.windows(2) {
                 assert!(pair[0].0 < pair[1].0, "{} !< {}", pair[0].0, pair[1].0);
             }
@@ -405,7 +379,6 @@ mod tests {
             .chain(INSTANTS)
             .chain(METRICS)
             .chain(FLIGHT_KINDS)
-            .chain(LOG_TARGETS)
         {
             assert!(table.contains(&format!("`{key}`")), "missing {key}");
         }
@@ -424,13 +397,12 @@ mod tests {
     fn every_flight_event_class_is_listed() {
         use crate::FlightEventKind;
         for event in [
-            FlightEventKind::request("open", true, None),
+            FlightEventKind::request("open", None),
             FlightEventKind::replan(1.0, 2, 3, "dinic"),
-            FlightEventKind::error("planning", "x"),
+            FlightEventKind::bundle("panic", Err("x".into())),
         ] {
             assert!(known_flight_kind(event.class()), "{}", event.class());
         }
-        assert!(known_log_target("serve.open"));
-        assert!(!known_log_target("serve.typo"));
+        assert!(!known_flight_kind("error"));
     }
 }

@@ -70,26 +70,10 @@ impl ThreadPool {
         O: Send,
         F: Fn(I) -> O + Sync,
     {
-        self.scope_map_indexed(items, |_, item| f(item))
-    }
-
-    /// [`scope_map`](ThreadPool::scope_map) where the closure also receives
-    /// the item's submission index (for seeding or labelling work without
-    /// packing the index into every item).
-    pub fn scope_map_indexed<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
-    where
-        I: Send,
-        O: Send,
-        F: Fn(usize, I) -> O + Sync,
-    {
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(idx, item)| f(idx, item))
-                .collect();
+            return items.into_iter().map(f).collect();
         }
         // Items and results live in per-index slots so workers can claim
         // work through one atomic cursor and deposit results wherever they
@@ -113,7 +97,7 @@ impl ThreadPool {
                         .expect("input slot poisoned")
                         .take()
                         .expect("each item is claimed exactly once");
-                    let out = f(idx, item);
+                    let out = f(item);
                     *output[idx].lock().expect("output slot poisoned") = Some(out);
                 });
             }
@@ -146,13 +130,6 @@ mod tests {
         // pools; order must still come back 0..n.
         let out = pool.scope_map((0..200).collect::<Vec<_>>(), |x| x * 3);
         assert_eq!(out, (0..200).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scope_map_indexed_sees_submission_indices() {
-        let pool = ThreadPool::new(4);
-        let out = pool.scope_map_indexed(vec!["a", "b", "c"], |idx, s| format!("{idx}:{s}"));
-        assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
     }
 
     #[test]

@@ -31,23 +31,28 @@
 //!
 //! # Black box
 //!
-//! The daemon carries an always-on observability layer: a structured
-//! [`Logger`] (NDJSON, ring-buffered so the recent tail is always
-//! recoverable), one bounded [`FlightRecorder`] per tenant plus one for the
-//! daemon itself, and — when [`DaemonConfig::postmortem_dir`] is set —
-//! automatic [postmortem bundles](crate::postmortem) on serious errors,
-//! caught panics, and replans slower than
-//! [`DaemonConfig::slow_replan_ms`]. All of the recording happens *after*
-//! the response is computed, on the daemon thread, and its cumulative cost
-//! is tracked in [`Daemon::obs_overhead_ns`] so the <1% soak-overhead
-//! budget is itself observable.
+//! The daemon carries an always-on black box: one bounded
+//! [`FlightRecorder`] per tenant plus one for the daemon itself, and — when
+//! [`DaemonConfig::postmortem_dir`] is set — automatic
+//! [postmortem bundles](crate::postmortem) on serious errors, caught
+//! panics, and replans slower than [`DaemonConfig::slow_replan_ms`]. Every
+//! fact enters it once, as one flight event, through one route: the
+//! addressed tenant's ring; the daemon ring too when the event is
+//! daemon-scope, a failure or a bundle write; and, with
+//! [`DaemonConfig::log_stderr`], one NDJSON line on stderr when the event
+//! has a [`Level`] at or above [`DaemonConfig::log_level`] (a failure is
+//! `warn`, or `error` for kind `internal`; a bundle write `warn`, or
+//! `error` when it failed; a tenant opened or restored `info`; routine
+//! requests and replans never). All of the recording happens *after* the
+//! response is computed, on the daemon thread, and its cumulative cost is
+//! tracked in [`Daemon::obs_overhead_ns`] so the <1% soak-overhead budget
+//! is itself observable.
 
 use crate::postmortem::{self, BundleContents, BundleReason};
 use crate::protocol::{Algo, ErrorKind, Request, Response};
 use mpss_obs::json::Json;
 use mpss_obs::{
-    Counter, FlightEventKind, FlightRecorder, Gauge, Level, Logger, MetricsHub, RingSink,
-    StderrSink, TraceCollector,
+    Counter, Failure, FlightEventKind, FlightRecorder, Gauge, Level, MetricsHub, TraceCollector,
 };
 use mpss_online::{
     AvrCheckpoint, AvrSession, OaCheckpoint, OaSession, ReplanSummary, SessionCore, SessionError,
@@ -57,6 +62,7 @@ use mpss_par::ThreadPool;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// The checkpoint-file envelope's `format` marker.
 pub const CHECKPOINT_FORMAT: &str = "mpss-serve/checkpoint";
@@ -89,11 +95,11 @@ pub struct DaemonConfig {
     /// Worker threads for broadcast advances (`None`: the `MPSS_THREADS` /
     /// hardware default of [`ThreadPool::with_threads`]).
     pub threads: Option<usize>,
-    /// Threshold for the daemon's structured logger. Records below it cost
-    /// one branch.
+    /// The least level of flight event mirrored to stderr.
     pub log_level: Level,
-    /// Mirror log records to stderr (the CLI daemon turns this on; tests
-    /// and benchmarks keep logs in the in-memory ring only).
+    /// Mirror flight events at or above `log_level` to stderr, one NDJSON
+    /// line each (the CLI daemon turns this on; tests and benchmarks keep
+    /// the black box in memory only).
     pub log_stderr: bool,
     /// Capacity of each flight-recorder ring (per tenant, plus one for the
     /// daemon itself). Clamped to at least 1.
@@ -271,12 +277,13 @@ impl TenantFlight {
         }
     }
 
-    /// Publishes the flight gauges: ring occupancy, and the eviction delta
-    /// past the published high-water mark (the counter is monotonic). Both
-    /// stores are skipped when nothing changed — once the ring is full its
-    /// occupancy is pinned at capacity, so the steady state touches only
-    /// the eviction counter.
-    fn publish(&mut self) {
+    /// Records `event` and publishes the flight gauges: ring occupancy, and
+    /// the eviction delta past the published high-water mark (the counter
+    /// is monotonic). Both stores are skipped when nothing changed — once
+    /// the ring is full its occupancy is pinned at capacity, so the steady
+    /// state touches only the eviction counter.
+    fn record(&mut self, event: FlightEventKind) {
+        self.recorder.record(event);
         let len = self.recorder.len();
         if len != self.len_published {
             self.events_gauge.set(len as f64);
@@ -287,6 +294,77 @@ impl TenantFlight {
             self.dropped_counter.add(dropped - self.dropped_published);
             self.dropped_published = dropped;
         }
+    }
+}
+
+/// The daemon-wide half of the black box: the daemon ring and the stderr
+/// mirror. [`record`](BlackBox::record) is the one route every flight
+/// event takes.
+struct BlackBox {
+    ring: FlightRecorder,
+    log_level: Level,
+    log_stderr: bool,
+}
+
+impl BlackBox {
+    /// Records `event`, which concerns `tenant` (`None`: the daemon as a
+    /// whole), once per sink: into `tenant_ring` when that tenant is live;
+    /// into the daemon ring when the event is daemon-scope, a failure or a
+    /// bundle write (that is, it has no tenant ring or is at least `warn`);
+    /// and to stderr as one NDJSON line naming its level and tenant, when
+    /// mirroring is on and its level clears the threshold.
+    fn record(
+        &mut self,
+        tenant: Option<&str>,
+        tenant_ring: Option<&mut TenantFlight>,
+        event: FlightEventKind,
+    ) {
+        let level = level(tenant, &event);
+        if let Some(level) = level.filter(|l| self.log_stderr && *l >= self.log_level) {
+            let mut line = Json::object();
+            line.push("level", Json::from(level.as_str()));
+            line.push("tenant", tenant.map_or(Json::Null, Json::from));
+            event.push_fields(&mut line);
+            // A dead stderr must not take the daemon down with it.
+            let _ = writeln!(std::io::stderr().lock(), "{}", line.render());
+        }
+        match tenant_ring {
+            Some(flight) => {
+                if level >= Some(Level::Warn) {
+                    self.ring.record(event.clone());
+                }
+                flight.record(event);
+            }
+            None => {
+                self.ring.record(event);
+            }
+        }
+    }
+}
+
+/// The level `event` is mirrored to stderr at, if any: a failed request is
+/// `warn` (`error` for kind `internal`), a bundle write `warn` (`error` when
+/// it failed), and a tenant opened or restored `info`. Routine requests and
+/// replans have none, so they never reach stderr.
+fn level(tenant: Option<&str>, event: &FlightEventKind) -> Option<Level> {
+    match event {
+        FlightEventKind::Request {
+            failure: Some(failure),
+            ..
+        } => Some(if failure.kind == ErrorKind::Internal.as_str() {
+            Level::Error
+        } else {
+            Level::Warn
+        }),
+        FlightEventKind::Request {
+            op: "open" | "restore",
+            ..
+        } if tenant.is_some() => Some(Level::Info),
+        FlightEventKind::Bundle { outcome, .. } => Some(match outcome {
+            Ok(_) => Level::Warn,
+            Err(_) => Level::Error,
+        }),
+        _ => None,
     }
 }
 
@@ -308,10 +386,7 @@ pub struct Daemon {
     hub: MetricsHub,
     pool: ThreadPool,
     config: DaemonConfig,
-    logger: Logger,
-    log_ring: RingSink,
-    log_published: u64,
-    flight_daemon: FlightRecorder,
+    black_box: BlackBox,
     /// Chrome trace armed around the most recent replan, kept only until
     /// the slow-replan check ran.
     pending_trace: Option<TraceCollector>,
@@ -328,22 +403,16 @@ pub struct Daemon {
 impl Daemon {
     /// A daemon with no tenants.
     pub fn new(config: DaemonConfig) -> Daemon {
-        let pool = ThreadPool::with_threads(config.threads);
-        let log_ring = RingSink::new(256);
-        let mirror = log_ring.clone();
-        let mut logger = Logger::new(config.log_level).with_sink(mirror);
-        if config.log_stderr {
-            logger = logger.with_sink(StderrSink);
-        }
-        let flight_daemon = FlightRecorder::new(config.flight_capacity);
+        let black_box = BlackBox {
+            ring: FlightRecorder::new(config.flight_capacity),
+            log_level: config.log_level,
+            log_stderr: config.log_stderr,
+        };
         Daemon {
             tenants: BTreeMap::new(),
             hub: MetricsHub::new(),
-            pool,
-            logger,
-            log_ring,
-            log_published: 0,
-            flight_daemon,
+            pool: ThreadPool::with_threads(config.threads),
+            black_box,
             pending_trace: None,
             postmortem_seq: 0,
             postmortems_written: 0,
@@ -361,12 +430,6 @@ impl Daemon {
         &self.hub
     }
 
-    /// The daemon's structured logger (share it to log around the daemon,
-    /// e.g. from the CLI accept loop).
-    pub fn logger(&self) -> &Logger {
-        &self.logger
-    }
-
     /// Live tenant count.
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
@@ -378,7 +441,7 @@ impl Daemon {
     }
 
     /// Cumulative nanoseconds spent in the always-on observability tail
-    /// (flight recording, gauges, log-counter publishing) across all
+    /// (flight recording, flight gauges, stderr mirroring) across all
     /// requests. The soak harness divides this by wall time to gate the
     /// <1% recorder-overhead budget.
     pub fn obs_overhead_ns(&self) -> u64 {
@@ -388,8 +451,8 @@ impl Daemon {
     /// `(recorded, dropped)` flight events summed over the daemon ring and
     /// every tenant ring.
     pub fn flight_totals(&self) -> (u64, u64) {
-        let mut recorded = self.flight_daemon.recorded_total();
-        let mut dropped = self.flight_daemon.dropped_total();
+        let mut recorded = self.black_box.ring.recorded_total();
+        let mut dropped = self.black_box.ring.dropped_total();
         for t in self.tenants.values() {
             recorded += t.flight.recorder.recorded_total();
             dropped += t.flight.recorder.dropped_total();
@@ -431,7 +494,7 @@ impl Daemon {
             let (response, shutdown) = match line {
                 Ok(line) if line.trim().is_empty() => continue,
                 Ok(line) => self.handle_line(line),
-                Err(message) => (self.fail("parse", ErrorKind::BadRequest, message), false),
+                Err(message) => (self.reject(message), false),
             };
             output.write_all(response.render_line().as_bytes())?;
             output.write_all(b"\n")?;
@@ -458,7 +521,7 @@ impl Daemon {
                     };
                 (response, shutdown)
             }
-            Err(message) => (self.fail("parse", ErrorKind::BadRequest, message), false),
+            Err(message) => (self.reject(message), false),
         }
     }
 
@@ -500,12 +563,8 @@ impl Daemon {
             Request::DebugDump { tenant, dir } => self.debug_dump(tenant, dir.as_deref()),
             Request::Shutdown => Response::ok(Json::object()),
         };
-        // The always-on black box records *after* the response is computed:
-        // flight events, per-tenant gauges, log-counter deltas. Its cost is
-        // accumulated so the overhead budget is itself observable.
-        let obs_started = std::time::Instant::now();
-        let replan = self.observe_request(request, &response);
-        self.obs_ns += obs_started.elapsed().as_nanos() as u64;
+        // The always-on black box records *after* the response is computed.
+        let replan = self.observe(request.op(), request_tenant(request), &response);
         // Bundle triggers run outside the obs window: dumping is incident
         // I/O, not steady-state recording.
         self.maybe_bundle(request, &response, replan);
@@ -516,74 +575,54 @@ impl Daemon {
         response
     }
 
-    /// The observability tail of [`handle`](Daemon::handle): records the
-    /// request (and error) into the flight rings, drains the addressed OA
-    /// tenant's replan summary into a replan event, and publishes the flight
-    /// gauges and log-record counter. Returns the drained summary for the
-    /// bundle triggers.
-    fn observe_request(&mut self, request: &Request, response: &Response) -> Option<ReplanSummary> {
-        let op = request.op();
-        let tenant = request_tenant(request);
-        let error_kind = response.error_kind().map(static_error_kind);
-        let event = FlightEventKind::request(op, response.is_ok(), error_kind);
-        // The daemon-wide ring keeps daemon-scope context: broadcast and
-        // lifecycle ops, plus every failure. Routine tenant traffic lives in
-        // that tenant's own ring — duplicating it here would only churn the
-        // shared ring and the request hot path.
-        if tenant.is_none() || error_kind.is_some() {
-            self.flight_daemon.record(event.clone());
-        }
-        let mut error_event = None;
-        if let Some(kind) = error_kind {
-            let message = error_message(response);
-            let event = FlightEventKind::error(kind, &message);
-            self.flight_daemon.record(event.clone());
-            self.logger.warn(
-                "serve.request",
-                "request failed",
-                &[
-                    ("op", Json::from(op)),
-                    ("kind", Json::from(kind)),
-                    ("message", Json::from(message)),
-                ],
-            );
-            error_event = Some(event);
-        }
-        // Only an OA arrival replans, and it addresses its tenant. The
-        // per-request hot path: one map lookup reaches both the session
-        // (replan drain) and the adjacent flight ring.
+    /// The observability tail of a request: records its outcome, drains the
+    /// addressed OA tenant's replan summary into a replan event, and adds
+    /// the cost to [`obs_overhead_ns`](Daemon::obs_overhead_ns). Returns the
+    /// drained summary for the bundle triggers.
+    fn observe(
+        &mut self,
+        op: &'static str,
+        tenant: Option<&str>,
+        response: &Response,
+    ) -> Option<ReplanSummary> {
+        let started = Instant::now();
+        let event = FlightEventKind::request(op, failure(response));
+        // The per-request hot path: one map lookup reaches both the
+        // tenant's flight ring and its session (replan drain). Only an OA
+        // arrival replans, and it addresses its tenant.
+        let mut t = tenant.and_then(|name| self.tenants.get_mut(name));
+        self.black_box
+            .record(tenant, t.as_deref_mut().map(|t| &mut t.flight), event);
         let mut replan = None;
-        if let Some(t) = tenant.and_then(|name| self.tenants.get_mut(name)) {
-            t.flight.recorder.record(event);
-            if let Some(event) = error_event {
-                t.flight.recorder.record(event);
-            }
+        if let Some(t) = t {
             if let Session::Oa(s) = &mut t.session {
                 replan = s.take_last_replan();
                 if let Some(summary) = &replan {
-                    let engine = s.engine().name();
-                    t.flight.recorder.record(replan_event(summary, engine));
+                    let event = replan_event(summary, s.engine().name());
+                    self.black_box.record(tenant, Some(&mut t.flight), event);
                 }
             }
-            t.flight.publish();
         }
-        let emitted = self.logger.records_total();
-        if emitted > self.log_published {
-            self.hub
-                .counter(
-                    "mpss_serve_log_records_total",
-                    "structured log records the daemon emitted",
-                    &[],
-                )
-                .add(emitted - self.log_published);
-            self.log_published = emitted;
+        // A fleet restore is daemon-scope; each tenant it restored also
+        // starts its new ring with its own restore event.
+        if op == "restore" && tenant.is_none() {
+            if let Some(Json::Arr(restored)) = response.get("restored") {
+                for name in restored {
+                    if let Json::Str(name) = name {
+                        let ring = self.tenants.get_mut(name).map(|t| &mut t.flight);
+                        let event = FlightEventKind::request(op, None);
+                        self.black_box.record(Some(name), ring, event);
+                    }
+                }
+            }
         }
+        self.obs_ns += started.elapsed().as_nanos() as u64;
         replan
     }
 
     /// Bundle triggers: a slow replan (keeping the armed Chrome trace) or a
     /// serious protocol error. Runs after the response; failures to write a
-    /// bundle are logged, never escalated into the response.
+    /// bundle are recorded, never escalated into the response.
     fn maybe_bundle(
         &mut self,
         request: &Request,
@@ -627,51 +666,44 @@ impl Daemon {
         }
     }
 
-    /// The caught-panic path: an `internal` error response, flight error
-    /// events, and a `panic` bundle for the addressed tenant.
+    /// The caught-panic path: an `internal` error response, recorded as a
+    /// failed request, and a `panic` bundle for the addressed tenant.
     fn panicked(&mut self, request: &Request, panic_message: String) -> Response {
         let op = request.op();
-        self.logger.error(
-            "serve.panic",
-            "request handler panicked",
-            &[
-                ("op", Json::from(op)),
-                ("panic", Json::from(panic_message.as_str())),
-            ],
-        );
+        let tenant = request_tenant(request);
         let response = self.fail(
-            op,
             ErrorKind::Internal,
             format!("panic while handling `{op}`: {panic_message}"),
         );
-        let event = FlightEventKind::error("internal", &panic_message);
-        if let Some(name) = request_tenant(request) {
-            if let Some(t) = self.tenants.get_mut(name) {
-                t.flight.recorder.record(event.clone());
-            }
+        self.observe(op, tenant, &response);
+        if let Some(name) = tenant.filter(|name| self.tenants.contains_key(*name)) {
+            self.bundle(
+                name,
+                BundleReason::Panic,
+                op,
+                Some(("internal".to_string(), panic_message)),
+                None,
+                None,
+            );
         }
-        self.flight_daemon.record(event);
-        if let Some(name) = request_tenant(request).map(str::to_string) {
-            if self.tenants.contains_key(&name) {
-                self.bundle(
-                    &name,
-                    BundleReason::Panic,
-                    op,
-                    Some(("internal".to_string(), panic_message)),
-                    None,
-                    None,
-                );
-            }
-        }
+        response
+    }
+
+    /// A line that is no request: answered `bad-request`, and recorded in
+    /// the daemon ring as a failed `parse`.
+    fn reject(&mut self, message: String) -> Response {
+        let response = self.fail(ErrorKind::BadRequest, message);
+        self.observe("parse", None, &response);
         response
     }
 
     /// Writes one postmortem bundle for `tenant`. Automatic reasons go to
     /// the configured dir and respect [`MAX_AUTO_BUNDLES`]; `debug-dump`
     /// passes `dir_override` and is never capped. Returns the bundle path,
-    /// or `None` when bundling is off / capped / the tenant vanished;
-    /// write errors are logged (and surfaced only via the `debug-dump`
-    /// response, which re-checks the returned path).
+    /// or `None` when bundling is off / capped / the tenant vanished. The
+    /// write, or its error, is recorded as a bundle event (an error reaches
+    /// the client only through the `debug-dump` response, which re-checks
+    /// the returned path).
     fn bundle(
         &mut self,
         tenant: &str,
@@ -697,7 +729,7 @@ impl Daemon {
         self.postmortem_seq += 1;
         let mut flight = Json::object();
         flight.push("tenant", t.flight.recorder.dump_json());
-        flight.push("daemon", self.flight_daemon.dump_json());
+        flight.push("daemon", self.black_box.ring.dump_json());
         let contents = BundleContents {
             tenant: tenant.to_string(),
             reason,
@@ -707,44 +739,30 @@ impl Daemon {
             plan: t.session.plan_json(tenant),
             checkpoint: checkpoint_envelope(tenant, &t.session).render_pretty(),
             flight,
-            log_lines: self.log_ring.lines(),
             metrics: self.hub.render(),
             trace: trace.map(|t| t.chrome_trace()),
         };
-        match postmortem::write_bundle(&dir, &name, &contents) {
-            Ok(path) => {
-                self.postmortems_written += 1;
-                self.hub
-                    .counter(
-                        "mpss_serve_postmortem_total",
-                        "postmortem bundles written, by trigger reason",
-                        &[("reason", reason.as_str())],
-                    )
-                    .inc();
-                self.logger.warn(
-                    "serve.postmortem",
-                    "wrote postmortem bundle",
-                    &[
-                        ("tenant", Json::from(tenant)),
-                        ("reason", Json::from(reason.as_str())),
-                        ("bundle", Json::from(path.display().to_string())),
-                    ],
-                );
-                Some(path)
-            }
-            Err(e) => {
-                self.logger.error(
-                    "serve.postmortem",
-                    "failed to write postmortem bundle",
-                    &[
-                        ("tenant", Json::from(tenant)),
-                        ("reason", Json::from(reason.as_str())),
-                        ("error", Json::from(e.to_string())),
-                    ],
-                );
-                None
-            }
+        let written = postmortem::write_bundle(&dir, &name, &contents);
+        if written.is_ok() {
+            self.postmortems_written += 1;
+            self.hub
+                .counter(
+                    "mpss_serve_postmortem_total",
+                    "postmortem bundles written, by trigger reason",
+                    &[("reason", reason.as_str())],
+                )
+                .inc();
         }
+        let started = Instant::now();
+        let outcome = match &written {
+            Ok(path) => Ok(path.display().to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        let ring = self.tenants.get_mut(tenant).map(|t| &mut t.flight);
+        let event = FlightEventKind::bundle(reason.as_str(), outcome);
+        self.black_box.record(Some(tenant), ring, event);
+        self.obs_ns += started.elapsed().as_nanos() as u64;
+        written.ok()
     }
 
     /// The `debug-dump` op: freeze one tenant's black box on demand. Pure
@@ -760,7 +778,6 @@ impl Daemon {
             Some(dir) => dir,
             None => {
                 return self.fail(
-                    "debug-dump",
                     ErrorKind::BadRequest,
                     "no `dir` given and the daemon has no --postmortem-dir",
                 )
@@ -781,7 +798,6 @@ impl Daemon {
                 Response::ok(body)
             }
             None => self.fail(
-                "debug-dump",
                 ErrorKind::Io,
                 format!(
                     "could not write a bundle for `{tenant}` under {}",
@@ -791,8 +807,7 @@ impl Daemon {
         }
     }
 
-    fn fail(&self, op: &str, kind: ErrorKind, message: impl Into<String>) -> Response {
-        let _ = op;
+    fn fail(&self, kind: ErrorKind, message: impl Into<String>) -> Response {
         self.hub
             .counter(
                 "mpss_serve_errors_total",
@@ -812,17 +827,16 @@ impl Daemon {
         engine: Option<mpss_offline::FlowEngine>,
     ) -> Response {
         if let Err(message) = validate_tenant_id(tenant) {
-            return self.fail("open", ErrorKind::BadRequest, message);
+            return self.fail(ErrorKind::BadRequest, message);
         }
         if let Err(message) = check_processors(m) {
-            return self.fail("open", ErrorKind::BadRequest, message);
+            return self.fail(ErrorKind::BadRequest, message);
         }
         if !start.is_finite() {
-            return self.fail("open", ErrorKind::BadRequest, "`start` must be finite");
+            return self.fail(ErrorKind::BadRequest, "`start` must be finite");
         }
         if self.tenants.contains_key(tenant) {
             return self.fail(
-                "open",
                 ErrorKind::DuplicateTenant,
                 format!("tenant `{tenant}` is already open"),
             );
@@ -832,15 +846,6 @@ impl Daemon {
             Algo::Avr => Session::Avr(AvrSession::new(m, start)),
         };
         self.admit(tenant, session);
-        self.logger.info(
-            "serve.open",
-            "opened tenant",
-            &[
-                ("tenant", Json::from(tenant)),
-                ("algo", Json::from(algo.as_str())),
-                ("m", Json::UInt(m as u64)),
-            ],
-        );
         let mut body = Json::object();
         body.push("tenant", Json::from(tenant));
         Response::ok(body)
@@ -892,14 +897,14 @@ impl Daemon {
             }
             Err(e) => {
                 let (kind, message) = session_error(e);
-                self.fail("arrive", kind, message)
+                self.fail(kind, message)
             }
         }
     }
 
     fn advance(&mut self, tenant: Option<&str>, to: f64) -> Response {
         if !to.is_finite() {
-            return self.fail("advance", ErrorKind::BadRequest, "`to` must be finite");
+            return self.fail(ErrorKind::BadRequest, "`to` must be finite");
         }
         let targets: Vec<&String> = match tenant {
             Some(name) => match self.tenants.get_key_value(name) {
@@ -914,7 +919,6 @@ impl Daemon {
             let now = self.tenants[*name].session.core().now();
             if now > to {
                 return self.fail(
-                    "advance",
                     ErrorKind::TimeWentBackwards,
                     format!("tenant `{name}` is already at {now}, cannot go back to {to}"),
                 );
@@ -925,7 +929,7 @@ impl Daemon {
                 let t = self.tenants.get_mut(name).expect("checked above");
                 if let Err(e) = t.session.advance_to(to, self.config.compact_window) {
                     let (kind, message) = session_error(e);
-                    return self.fail("advance", kind, message);
+                    return self.fail(kind, message);
                 }
                 1
             }
@@ -943,7 +947,7 @@ impl Daemon {
                     (kind, format!("tenant `{name}`: {message}"))
                 });
                 if let Some((kind, message)) = first_error {
-                    return self.fail("advance", kind, message);
+                    return self.fail(kind, message);
                 }
                 count
             }
@@ -991,13 +995,13 @@ impl Daemon {
             None => self.tenants.keys().cloned().collect(),
         };
         if let Err(e) = std::fs::create_dir_all(dir) {
-            return self.fail("checkpoint", ErrorKind::Io, format!("creating {dir}: {e}"));
+            return self.fail(ErrorKind::Io, format!("creating {dir}: {e}"));
         }
         for name in &targets {
             let envelope = checkpoint_envelope(name, &self.tenants[name].session);
             if let Err(e) = write_atomically(&checkpoint_path(dir, name), &envelope.render_pretty())
             {
-                return self.fail("checkpoint", ErrorKind::Io, format!("writing {name}: {e}"));
+                return self.fail(ErrorKind::Io, format!("writing {name}: {e}"));
             }
         }
         self.hub
@@ -1020,15 +1024,13 @@ impl Daemon {
         let paths: Vec<PathBuf> = match tenant {
             Some(name) => {
                 if let Err(message) = validate_tenant_id(name) {
-                    return self.fail("restore", ErrorKind::BadRequest, message);
+                    return self.fail(ErrorKind::BadRequest, message);
                 }
                 vec![checkpoint_path(dir, name)]
             }
             None => match checkpoint_files(dir) {
                 Ok(paths) => paths,
-                Err(e) => {
-                    return self.fail("restore", ErrorKind::Io, format!("reading {dir}: {e}"))
-                }
+                Err(e) => return self.fail(ErrorKind::Io, format!("reading {dir}: {e}")),
             },
         };
         // Two passes: parse and validate everything first, then commit, so
@@ -1042,14 +1044,6 @@ impl Daemon {
         }
         let mut names = Vec::new();
         for (name, session) in restored {
-            self.logger.info(
-                "serve.restore",
-                "restored tenant",
-                &[
-                    ("tenant", Json::from(name.as_str())),
-                    ("algo", Json::from(session.algo().as_str())),
-                ],
-            );
             self.admit(&name, session);
             names.push(Json::from(name));
         }
@@ -1080,15 +1074,10 @@ impl Daemon {
 
     fn read_checkpoint(&self, path: &Path) -> Result<(String, Session), Response> {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| self.fail("restore", ErrorKind::Io, format!("{}: {e}", path.display())))?;
-        let doc = Json::parse(&text).map_err(|e| {
-            self.fail(
-                "restore",
-                ErrorKind::BadCheckpoint,
-                format!("{}: {e}", path.display()),
-            )
-        })?;
-        let bad = |message: String| self.fail("restore", ErrorKind::BadCheckpoint, message);
+            .map_err(|e| self.fail(ErrorKind::Io, format!("{}: {e}", path.display())))?;
+        let doc = Json::parse(&text)
+            .map_err(|e| self.fail(ErrorKind::BadCheckpoint, format!("{}: {e}", path.display())))?;
+        let bad = |message: String| self.fail(ErrorKind::BadCheckpoint, message);
         match doc.get("format") {
             Some(Json::Str(format)) if format == CHECKPOINT_FORMAT => {}
             other => return Err(bad(format!("not a {CHECKPOINT_FORMAT} file: {other:?}"))),
@@ -1108,7 +1097,6 @@ impl Daemon {
         validate_tenant_id(&name).map_err(bad)?;
         if self.tenants.contains_key(&name) {
             return Err(self.fail(
-                "restore",
                 ErrorKind::DuplicateTenant,
                 format!("tenant `{name}` is already open"),
             ));
@@ -1139,11 +1127,7 @@ impl Daemon {
 }
 
 fn unknown_tenant(daemon: &Daemon, name: &str) -> Response {
-    daemon.fail(
-        "any",
-        ErrorKind::UnknownTenant,
-        format!("no tenant `{name}`"),
-    )
+    daemon.fail(ErrorKind::UnknownTenant, format!("no tenant `{name}`"))
 }
 
 /// The tenant a request addresses, if any (broadcast ops return `None`).
@@ -1180,6 +1164,12 @@ fn replan_event(summary: &ReplanSummary, engine: &'static str) -> FlightEventKin
         summary.patched_arcs,
         engine,
     )
+}
+
+/// A failed response's wire kind and message; `None` for successes.
+fn failure(response: &Response) -> Option<Failure> {
+    let kind = static_error_kind(response.error_kind()?);
+    Some(Failure::new(kind, error_message(response)))
 }
 
 /// The error message of a failed response (empty for successes).
@@ -1327,6 +1317,20 @@ mod tests {
     fn ok(response: Response) -> Response {
         assert!(response.is_ok(), "{}", response.render_line());
         response
+    }
+
+    /// `(op, kind, message)` of every failed request `ring` holds, oldest
+    /// first.
+    fn failures(ring: &FlightRecorder) -> Vec<(&'static str, &'static str, String)> {
+        ring.events()
+            .filter_map(|event| match &event.kind {
+                FlightEventKind::Request {
+                    op,
+                    failure: Some(failure),
+                } => Some((*op, failure.kind, failure.message.clone())),
+                _ => None,
+            })
+            .collect()
     }
 
     fn tmp_dir(name: &str) -> String {
@@ -1654,6 +1658,54 @@ mod tests {
             assert!(line.contains("bad-request"), "{line}");
         }
         assert!(lines[4].contains(r#""tenant":"a""#), "{}", lines[4]);
+        // Each rejected line is one failed `parse` in the daemon ring.
+        let failed = failures(&daemon.black_box.ring);
+        assert_eq!(failed.len(), 3, "{failed:?}");
+        for (op, kind, _) in &failed {
+            assert_eq!((*op, *kind), ("parse", "bad-request"));
+        }
+        assert_eq!(failed[0].2, "request line is not valid UTF-8");
+        assert_eq!(
+            failed[1].2,
+            format!("request line longer than {MAX_LINE_BYTES} bytes")
+        );
+        assert!(failed[2].2.contains("nest"), "{}", failed[2].2);
+    }
+
+    #[test]
+    fn a_failure_is_one_event_per_ring() {
+        let mut daemon = Daemon::new(DaemonConfig {
+            panic_on_op: Some("query-plan".into()),
+            ..DaemonConfig::default()
+        });
+        ok(daemon.handle(&Request::Open {
+            tenant: "a".into(),
+            algo: Algo::Oa,
+            m: 1,
+            start: 5.0,
+            engine: None,
+        }));
+        let tenant_len = |daemon: &Daemon| daemon.tenants["a"].flight.recorder.len();
+        let (tenant_before, daemon_before) = (tenant_len(&daemon), daemon.black_box.ring.len());
+        let r = daemon.handle(&Request::Arrive {
+            tenant: "a".into(),
+            deadline: 5.0, // empty window at now=5
+            volume: 1.0,
+        });
+        let message = error_message(&r);
+        assert_eq!(tenant_len(&daemon), tenant_before + 1);
+        assert_eq!(daemon.black_box.ring.len(), daemon_before + 1);
+        let (panicked, _) = daemon.handle_line(r#"{"op":"query-plan","tenant":"a"}"#);
+        let panic_message = error_message(&panicked);
+        assert!(panic_message.contains("injected panic"), "{panic_message}");
+        assert_eq!(tenant_len(&daemon), tenant_before + 2);
+        assert_eq!(daemon.black_box.ring.len(), daemon_before + 2);
+        let expected = vec![
+            ("arrive", "bad-job", message),
+            ("query-plan", "internal", panic_message),
+        ];
+        assert_eq!(failures(&daemon.tenants["a"].flight.recorder), expected);
+        assert_eq!(failures(&daemon.black_box.ring), expected);
     }
 
     #[test]
@@ -1695,7 +1747,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_kinds_and_log_targets_are_in_the_manifest() {
+    fn flight_kinds_are_in_the_manifest() {
         let dir = tmp_dir("manifest-events");
         let checkpoints = tmp_dir("manifest-events-ckpt");
         let mut daemon = Daemon::new(DaemonConfig {
@@ -1724,8 +1776,8 @@ mod tests {
             volume: 1.0,
         });
         assert!(!failed.is_ok());
-        // A restore of a tenant another daemon checkpointed, then a caught
-        // panic.
+        // A fleet restore of a tenant another daemon checkpointed, then a
+        // caught panic.
         let mut source = Daemon::new(DaemonConfig::default());
         ok(source.handle(&Request::Open {
             tenant: "b".into(),
@@ -1739,50 +1791,35 @@ mod tests {
             dir: checkpoints.clone(),
         }));
         ok(daemon.handle(&Request::Restore {
-            tenant: Some("b".into()),
+            tenant: None,
             dir: checkpoints.clone(),
         }));
         let (panicked, _) = daemon.handle_line(r#"{"op":"query-plan","tenant":"a"}"#);
         assert_eq!(panicked.error_kind(), Some("internal"));
 
+        // The restored tenant's new ring starts with its restore event.
+        let first = daemon.tenants["b"].flight.recorder.events().next();
+        assert_eq!(
+            first.map(|event| &event.kind),
+            Some(&FlightEventKind::request("restore", None))
+        );
         let tenant_events = daemon
             .tenants
             .values()
             .flat_map(|t| t.flight.recorder.events());
         let kinds: std::collections::BTreeSet<&str> = daemon
-            .flight_daemon
+            .black_box
+            .ring
             .events()
             .chain(tenant_events)
             .map(|event| event.kind.class())
             .collect();
         assert_eq!(
             kinds.iter().copied().collect::<Vec<_>>(),
-            ["error", "replan", "request"]
-        );
-        let targets: std::collections::BTreeSet<String> = daemon
-            .log_ring
-            .lines()
-            .iter()
-            .map(|line| match Json::parse(line).unwrap().get("target") {
-                Some(Json::Str(target)) => target.clone(),
-                other => panic!("log record without a target: {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            targets.iter().map(String::as_str).collect::<Vec<_>>(),
-            [
-                "serve.open",
-                "serve.panic",
-                "serve.postmortem",
-                "serve.request",
-                "serve.restore"
-            ]
+            ["bundle", "replan", "request"]
         );
         for kind in kinds {
             assert!(mpss_obs::names::known_flight_kind(kind), "{kind}");
-        }
-        for target in &targets {
-            assert!(mpss_obs::names::known_log_target(target), "{target}");
         }
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&checkpoints);

@@ -28,10 +28,11 @@
 //!    session metrics into one shared [`MetricsHub`](mpss_obs::MetricsHub),
 //!    plus daemon-level request/error/latency families, scrapeable live
 //!    via `mpss_obs::MetricsServer`. On top of that sits an always-on
-//!    black box — structured NDJSON logging, per-tenant flight recorders,
-//!    and atomic [postmortem bundles](postmortem) on errors, panics, and
-//!    slow replans — cheap enough to leave on in production (<1% of soak
-//!    wall time, gated in CI).
+//!    black box — per-tenant flight recorders, whose leveled events are
+//!    also the daemon's NDJSON stderr log, and atomic
+//!    [postmortem bundles](postmortem) on errors, panics, and slow
+//!    replans — cheap enough to leave on in production (<1% of soak wall
+//!    time, gated in CI).
 //!
 //! # Example
 //!

@@ -11,8 +11,10 @@
 //! * `<tenant>.checkpoint.json` — the tenant's full checkpoint in the exact
 //!   daemon envelope, so a `restore` pointed at the bundle directory
 //!   resurrects the session bit-identically;
-//! * `flight.json` — the tenant's and the daemon's flight-recorder rings;
-//! * `logs.ndjson` — the tail of the daemon's structured log ring;
+//! * `flight.json` — the tenant's and the daemon's flight-recorder rings,
+//!   which hold every fact the daemon recorded about the recent past:
+//!   requests (each failure with its error kind and message), replans, and
+//!   earlier bundle writes;
 //! * `metrics.prom` — a full Prometheus snapshot of the hub;
 //! * `replan.trace.json` — the Chrome trace of the offending replan, when
 //!   one was armed (slow-replan exemplar capture).
@@ -27,8 +29,10 @@ use std::path::{Path, PathBuf};
 
 /// The bundle manifest's `format` marker.
 pub const BUNDLE_FORMAT: &str = "mpss-serve/postmortem";
-/// The bundle manifest version. Bump on breaking layout changes.
-pub const BUNDLE_VERSION: u64 = 1;
+/// The bundle manifest version. Bump on breaking layout changes (2: the
+/// bundle no longer carries a copy of the daemon's log; its facts are
+/// flight events in `flight.json`).
+pub const BUNDLE_VERSION: u64 = 2;
 
 /// What triggered a bundle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -76,8 +80,6 @@ pub struct BundleContents {
     pub checkpoint: String,
     /// `{tenant: <ring dump | null>, daemon: <ring dump>}`.
     pub flight: Json,
-    /// The daemon log ring's retained NDJSON lines.
-    pub log_lines: Vec<String>,
     /// Full Prometheus exposition of the hub.
     pub metrics: String,
     /// Chrome trace of the offending replan (slow-replan capture).
@@ -135,11 +137,6 @@ pub fn write_bundle(dir: &Path, name: &str, contents: &BundleContents) -> io::Re
         &contents.checkpoint,
     )?;
     std::fs::write(staged.join("flight.json"), contents.flight.render_pretty())?;
-    let mut log_text = contents.log_lines.join("\n");
-    if !log_text.is_empty() {
-        log_text.push('\n');
-    }
-    std::fs::write(staged.join("logs.ndjson"), log_text)?;
     std::fs::write(staged.join("metrics.prom"), &contents.metrics)?;
     if let Some(trace) = &contents.trace {
         std::fs::write(staged.join("replan.trace.json"), trace.render_pretty())?;
@@ -211,7 +208,6 @@ mod tests {
             plan: Json::object(),
             checkpoint: "{}\n".into(),
             flight: Json::object(),
-            log_lines: vec!["{\"msg\":\"hi\"}".into()],
             metrics: String::new(),
             trace: None,
         }
@@ -224,7 +220,6 @@ mod tests {
         assert!(path.join("manifest.json").is_file());
         assert!(path.join("t0.checkpoint.json").is_file());
         assert!(path.join("flight.json").is_file());
-        assert!(path.join("logs.ndjson").is_file());
         assert!(path.join("metrics.prom").is_file());
         let manifest = read_manifest(&path).unwrap();
         assert_eq!(manifest.get("tenant"), Some(&Json::from("t0")));
@@ -257,12 +252,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("manifest.json"), r#"{"format":"other"}"#).unwrap();
         assert!(read_manifest(&dir).is_err());
-        std::fs::write(
-            dir.join("manifest.json"),
-            format!(r#"{{"format":"{BUNDLE_FORMAT}","version":99,"tenant":"t"}}"#),
-        )
-        .unwrap();
-        assert!(read_manifest(&dir).is_err());
+        // Version 1 bundles carried a log tail this build no longer reads.
+        for version in [1, 99] {
+            std::fs::write(
+                dir.join("manifest.json"),
+                format!(r#"{{"format":"{BUNDLE_FORMAT}","version":{version},"tenant":"t"}}"#),
+            )
+            .unwrap();
+            let err = read_manifest(&dir).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unsupported bundle version Some(UInt({version}))")),
+                "{err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -975,28 +975,29 @@ fn cmd_postmortem(args: &[String]) -> Result<(), String> {
                 Some(Json::Str(c)) => c.clone(),
                 _ => "?".into(),
             };
+            let field = |key: &str| event.get(key).map_or("?".into(), Json::render);
             let detail = match class.as_str() {
                 "request" => format!(
                     "op={} ok={}{}",
-                    event.get("op").map_or("?".into(), Json::render),
-                    event.get("ok").map_or("?".into(), Json::render),
+                    field("op"),
+                    field("ok"),
                     match event.get("error_kind") {
-                        Some(Json::Str(kind)) => format!(" error={kind}"),
+                        Some(Json::Str(kind)) =>
+                            format!(" error={kind} message={}", field("message")),
                         _ => String::new(),
                     }
                 ),
                 "replan" => format!(
                     "latency_ms={} work_ops={} patched_arcs={} engine={}",
-                    event.get("latency_ms").map_or("?".into(), Json::render),
-                    event.get("work_ops").map_or("?".into(), Json::render),
-                    event.get("patched_arcs").map_or("?".into(), Json::render),
-                    event.get("engine").map_or("?".into(), Json::render),
+                    field("latency_ms"),
+                    field("work_ops"),
+                    field("patched_arcs"),
+                    field("engine"),
                 ),
-                "error" => format!(
-                    "kind={} message={}",
-                    event.get("error_kind").map_or("?".into(), Json::render),
-                    event.get("message").map_or("?".into(), Json::render),
-                ),
+                "bundle" => match event.get("path") {
+                    Some(path) => format!("reason={} path={}", field("reason"), path.render()),
+                    None => format!("reason={} failed={}", field("reason"), field("error")),
+                },
                 _ => event.render(),
             };
             println!("  #{seq:<5} {ms}  {class:<7} {detail}");

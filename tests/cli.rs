@@ -303,3 +303,104 @@ fn stats_and_svg_outputs() {
     assert!(content.starts_with("<svg"));
     assert!(content.contains("</svg>"));
 }
+
+/// README's incident walkthrough, end to end: its five request lines go
+/// through `serve`, the one `debug-dump` bundle opens in `postmortem` and
+/// replays bit-identically, and stderr mirrors exactly three facts — the
+/// open (`info`), the `bad-job` failure and the bundle write (`warn`).
+#[test]
+fn readme_incident_walkthrough_replays_its_bundle() {
+    let readme = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md"))
+        .expect("README.md at the repo root");
+    let (_, rest) = readme
+        .split_once("--postmortem-dir pm --slow-replan-ms 50 <<'EOF'\n")
+        .expect("README's walkthrough");
+    let (requests, _) = rest.split_once("\nEOF").expect("the walkthrough's heredoc");
+    assert_eq!(requests.lines().count(), 5, "{requests}");
+
+    let serve = |pm: &Path, extra: &[&str]| -> (Vec<String>, Vec<Json>) {
+        let _ = std::fs::remove_dir_all(pm);
+        let mut child = cli()
+            .args(["serve", "--postmortem-dir", pm.to_str().unwrap()])
+            .args(["--slow-replan-ms", "50"])
+            .args(extra)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn mpss-cli serve");
+        use std::io::Write as _;
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(requests.as_bytes()).unwrap();
+        stdin.write_all(b"\n").unwrap();
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let responses = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let mirrored = stderr
+            .lines()
+            .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}")))
+            .collect();
+        (responses.lines().map(str::to_string).collect(), mirrored)
+    };
+    let field = |line: &Json, key: &str| match line.get(key) {
+        Some(Json::Str(s)) => s.clone(),
+        other => panic!("`{key}` of {}: {other:?}", line.render()),
+    };
+
+    let pm = tmp("walkthrough-pm");
+    let (responses, mirrored) = serve(&pm, &[]);
+    assert_eq!(responses.len(), 5, "{responses:?}");
+    let failed: Vec<&String> = responses
+        .iter()
+        .filter(|r| r.contains(r#""ok":false"#))
+        .collect();
+    assert_eq!(failed.len(), 1, "{responses:?}");
+    let failure = Json::parse(failed[0]).unwrap();
+    let error = failure.get("error").unwrap();
+    assert_eq!(field(error, "kind"), "bad-job");
+    let message = field(error, "message");
+    let bundles = mpss::serve::find_bundles(&pm).unwrap();
+    assert_eq!(bundles.len(), 1, "{bundles:?}");
+
+    let levels: Vec<(String, String)> = mirrored
+        .iter()
+        .map(|line| (field(line, "level"), field(line, "kind")))
+        .collect();
+    let expected = [("info", "request"), ("warn", "request"), ("warn", "bundle")];
+    assert_eq!(
+        levels,
+        expected.map(|(level, kind)| (level.to_string(), kind.to_string())),
+        "{mirrored:?}"
+    );
+    assert_eq!(field(&mirrored[0], "op"), "open");
+    assert_eq!(field(&mirrored[1], "error_kind"), "bad-job");
+    assert_eq!(field(&mirrored[1], "message"), message);
+    assert_eq!(field(&mirrored[2], "path"), bundles[0].to_str().unwrap());
+    for line in &mirrored {
+        assert_eq!(field(line, "tenant"), "cell-a");
+    }
+
+    let report = run_ok(cli().args(["postmortem", bundles[0].to_str().unwrap()]));
+    assert!(
+        report.contains("plan reproduced bit-identically"),
+        "{report}"
+    );
+    let failure_line = format!(
+        "error=bad-job message={}",
+        Json::from(message.as_str()).render()
+    );
+    assert!(
+        report.lines().any(|line| line.contains(&failure_line)),
+        "no `{failure_line}` in:\n{report}"
+    );
+
+    // At `warn`, the open is no longer mirrored.
+    let pm_warn = tmp("walkthrough-pm-warn");
+    let (_, mirrored) = serve(&pm_warn, &["--log-level", "warn"]);
+    let kinds: Vec<String> = mirrored.iter().map(|line| field(line, "kind")).collect();
+    assert_eq!(kinds, ["request", "bundle"], "{mirrored:?}");
+    let _ = std::fs::remove_dir_all(&pm);
+    let _ = std::fs::remove_dir_all(&pm_warn);
+}

@@ -12,7 +12,7 @@
 use mpss::model::json::arr;
 use mpss::numeric::rng::{check, Rng};
 use mpss::obs::json::Json;
-use mpss::obs::{FlightEventKind, FlightRecorder};
+use mpss::obs::{Failure, FlightEventKind, FlightRecorder};
 
 /// One step of the daemon's usage pattern, generated randomly.
 #[derive(Clone, Debug)]
@@ -33,7 +33,12 @@ fn op(rng: &mut Rng) -> Op {
 
 fn event(variant: u8) -> FlightEventKind {
     match variant % 3 {
-        0 => FlightEventKind::request("arrive", !variant.is_multiple_of(5), None),
+        0 => FlightEventKind::request(
+            "arrive",
+            variant
+                .is_multiple_of(5)
+                .then(|| Failure::new("bad-job", "injected")),
+        ),
         // The +0.125 keeps the latency non-integral, so the JSON dump
         // round-trips as a float rather than collapsing to an integer.
         1 => FlightEventKind::replan(
@@ -42,7 +47,7 @@ fn event(variant: u8) -> FlightEventKind {
             7,
             "dinic",
         ),
-        _ => FlightEventKind::error("planning", "injected"),
+        _ => FlightEventKind::bundle("slow-replan", Ok(format!("pm/t-{variant:04}"))),
     }
 }
 
